@@ -23,9 +23,9 @@ from .graph import (SIGNED, Context, EdgeListParseError, LabelAlphabet,
                     sparsify, write_edge_list)
 from .predictors import (CLUSTER_KINDS, LOCAL_KINDS, MODEL_KINDS,
                          LabelDistribution, SmoothingConfig, class_prior,
-                         decide, predict, predict_gcgm, predict_gtlgm,
-                         predict_lcgm, predict_ltlgm, predict_scgm,
-                         predict_stlgm)
+                         decide, decide_many, predict, predict_gcgm,
+                         predict_gtlgm, predict_lcgm, predict_ltlgm,
+                         predict_many, predict_scgm, predict_stlgm)
 
 __version__ = "0.1.0"
 
@@ -37,11 +37,11 @@ __all__ = [
     "MODEL_KINDS", "Partition", "PredictionQuery", "SIGNED", "SignedGraph",
     "SmoothingConfig", "apply_edge_batch", "balanced_accuracy",
     "boltzmann_pick", "build_precomputed_nam", "cam_count", "class_prior",
-    "cluster", "context_of", "decide", "delta_objective", "evaluate",
+    "cluster", "context_of", "decide", "decide_many", "delta_objective", "evaluate",
     "generate_planted", "gibbs_sweep", "graph_stats", "load_cam_snapshot",
     "load_edge_list", "load_nam_snapshot", "make_folds", "nam_count",
     "objective", "param_sample_cdf", "predict", "predict_gcgm",
-    "predict_gtlgm", "predict_lcgm", "predict_ltlgm", "predict_scgm",
+    "predict_gtlgm", "predict_lcgm", "predict_ltlgm", "predict_many", "predict_scgm",
     "predict_stlgm", "projected_pair_cost", "read_partition",
     "save_cam_snapshot", "save_nam_snapshot", "sparsify", "sparsity_sweep",
     "write_edge_list", "write_partition",

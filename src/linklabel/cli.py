@@ -16,8 +16,8 @@ leading meta record that embeds the resolved configuration, the seed, and a
 digest of every input file, enough to reproduce the artifact exactly.
 When --output is given the records go to that file and an aligned human
 summary is printed instead; reruns with identical flags and inputs are
-byte-identical (the --threads knob never changes results and is not echoed
-into artifacts).
+byte-identical. The --threads flag of evaluate and sweep is accepted and has
+no effect; it is not echoed into artifacts.
 
 An optional --config file supplies key=value defaults for any long flag;
 explicit flags win. Exit codes: 0 success, 1 domain error (bad data,
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reuse-clustering", action="store_true",
                    help="cluster the full graph once (leaks test edges; faster)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; never changes results")
+                   help="accepted and without effect: prediction is batched per fold")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", parents=[common, model_opts, cluster_opts],
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated densities in (0,1]")
     p.add_argument("--folds", type=int, default=10, help="number of folds")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; never changes results")
+                   help="accepted and without effect: prediction is batched per fold")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("samples-cdf", parents=[common], formatter_class=fmt,

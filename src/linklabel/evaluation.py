@@ -6,7 +6,8 @@ universe, so sparsely connected test endpoints simply have thin contexts).
 Each test edge is posed as a query against the training graph, decided with
 the prior as fallback, and scored with balanced accuracy, the mean of
 per-class true-positive rates, which is robust to the heavy label skew of
-real signed networks.
+real signed networks. A fold's test edges are predicted together with
+``predict_many``, which gives the same answers as ``predict`` on each.
 
 Cluster-backed models re-run the clustering on every fold's training graph
 by default; ``reuse_clustering`` clusters once on the full graph instead,
@@ -16,19 +17,17 @@ documented speed/fidelity trade.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .clustering import ClusterConfig, cluster
-from .counts import ANY, ClusterCounts, CooccurrenceCounts
-from .graph import PredictionQuery, SignedGraph, context_of, sparsify
-from .predictors import (CLUSTER_KINDS, LOCAL_KINDS, MODEL_KINDS,
-                         SmoothingConfig, class_prior, decide, predict)
-
-_CHUNK = 512
+from .counts import ClusterCounts, context_evidence
+from .graph import SignedGraph, sparsify
+# ``predict`` stays importable here, where callers may patch it.
+from .predictors import (CLUSTER_KINDS, MODEL_KINDS, SmoothingConfig,  # noqa: F401
+                         class_prior, decide_many, predict, predict_many)
 
 
 @dataclass
@@ -178,9 +177,9 @@ def evaluate(graph: SignedGraph, model_kind: str,
 
     Per fold, the training graph is every edge outside the fold; cluster-
     backed models cluster that training graph with a per-fold seed
-    (cluster_config.seed + fold). Every test edge is predicted and decided
-    against the training prior. Results are deterministic for fixed seeds
-    and identical for any ``threads`` value.
+    (cluster_config.seed + fold). The fold's test edges are predicted in
+    one ``predict_many`` call and decided against the training prior.
+    Results are deterministic for fixed seeds.
 
     Args:
         graph: full dataset.
@@ -190,7 +189,8 @@ def evaluate(graph: SignedGraph, model_kind: str,
         fold_plan: from make_folds; required.
         reuse_clustering: cluster once on the full graph (test edges leak
             into the partition; faster, documented deviation).
-        threads: worker threads for query evaluation.
+        threads: accepted for compatibility and without effect; the
+            batched prediction runs in the calling thread.
 
     Returns:
         EvalReport with pooled confusion, per-class TPR and fallback stats.
@@ -218,7 +218,6 @@ def evaluate(graph: SignedGraph, model_kind: str,
         train = _train_graph_for_fold(graph, fold_plan, f)
         _assert_fold_hygiene(train, src[test], dst[test])
         prior = class_prior(train)
-        counts = CooccurrenceCounts.on_demand(train) if kind in LOCAL_KINDS else None
         partition = None
         cluster_counts = None
         if kind in CLUSTER_KINDS:
@@ -228,31 +227,12 @@ def evaluate(graph: SignedGraph, model_kind: str,
                 fold_cfg = replace(cluster_config, seed=cluster_config.seed + f)
                 partition, _ = cluster(train, fold_cfg)
             cluster_counts = ClusterCounts.from_partition(train, partition)
-
-        def run_chunk(idx):
-            local_conf = np.zeros((L, L), dtype=np.int64)
-            local_fb = 0
-            for e in idx:
-                q = PredictionQuery(int(src[e]), int(dst[e]))
-                dist = predict(kind, train, q, counts=counts,
-                               cluster_counts=cluster_counts,
-                               partition=partition, config=model_config)
-                label, fb = decide(dist, prior)
-                local_conf[int(lbl[e]), label] += 1
-                local_fb += int(fb)
-            return local_conf, local_fb
-
-        chunks = [test[i:i + _CHUNK] for i in range(0, test.size, _CHUNK)]
-        fold_conf = np.zeros((L, L), dtype=np.int64)
-        fold_fb = 0
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_chunk, chunks))
-        else:
-            results = [run_chunk(c) for c in chunks]
-        for c, fb in results:
-            fold_conf += c
-            fold_fb += fb
+        probs, defined = predict_many(kind, train, src[test], dst[test],
+                                      cluster_counts=cluster_counts,
+                                      partition=partition, config=model_config)
+        labels, fallback = decide_many(probs, defined, prior)
+        fold_conf = np.bincount(lbl[test] * L + labels, minlength=L * L).reshape(L, L)
+        fold_fb = int(fallback.sum())
         confusion += fold_conf
         fallback_count += fold_fb
         per_fold.append({
@@ -310,6 +290,7 @@ def sparsity_sweep(graph: SignedGraph, densities: Sequence[float],
     Density d keeps round(d * edge_count) edges (nodes retained). The
     sparsified graph for the i-th density uses seed + i; fold plans reuse
     ``seed``, so the density 1.0 rows coincide with plain evaluate runs.
+    ``threads`` is passed to ``evaluate``, where it has no effect.
     """
     for d in densities:
         if not (0.0 < d <= 1.0):
@@ -348,23 +329,15 @@ def param_sample_cdf(graph: SignedGraph, fold_plan: FoldPlan, model_kind: str,
     kind = model_kind.lower()
     if kind not in ("ltlgm", "lcgm"):
         raise ValueError("sample-count analysis applies to the local models only")
-    L = graph.alphabet.size
     src, dst, _ = graph.edge_arrays
     all_counts = []
     for f in range(fold_plan.k):
         train = _train_graph_for_fold(graph, fold_plan, f)
-        counts = CooccurrenceCounts.on_demand(train)
-        for e in np.flatnonzero(fold_plan.fold_of_edge == f):
-            q = PredictionQuery(int(src[e]), int(dst[e]))
-            ctx = context_of(train, q)
-            j = q.receiver
-            for x, lx in ctx.entries():
-                if kind == "ltlgm":
-                    all_counts.append(counts.count(j, ANY, x, lx))
-                else:
-                    for l in range(L):
-                        all_counts.append(counts.count(x, ANY, j, l))
-    arr = np.array(all_counts, dtype=np.int64)
+        test = np.flatnonzero(fold_plan.fold_of_edge == f)
+        for blk in context_evidence(train, src[test], dst[test]):
+            # ltlgm: count(j, ANY, x, l_x); lcgm: count(x, ANY, j, l) per label.
+            all_counts.append(blk.num.sum(axis=1) if kind == "ltlgm" else blk.mirrored.ravel())
+    arr = np.concatenate(all_counts) if all_counts else np.empty(0, dtype=np.int64)
     fractions = {int(t): (float((arr < t).mean()) if arr.size else 0.0)
                  for t in thresholds}
     return {"model": kind, "total_parameters": int(arr.size), "fractions": fractions}

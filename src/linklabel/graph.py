@@ -219,6 +219,17 @@ class SignedGraph:
         """(src, dst, label) arrays in canonical (src, dst) order."""
         return self._src, self._dst, self._lbl
 
+    def csr(self):
+        """The CSR arrays behind the adjacency views, for batched passes.
+
+        Returns ``(out_ptr, heads, labels, in_ptr, in_tails)``. The out-edges
+        of ``u`` are ``heads[out_ptr[u]:out_ptr[u + 1]]`` with their
+        ``labels``; the tails that point at ``u`` with label ``l``, sorted,
+        are ``in_tails[in_ptr[k]:in_ptr[k + 1]]`` with ``k = u * L + l``.
+        The arrays are shared with the graph and must not be written.
+        """
+        return self._out_ptr, self._dst, self._lbl, self._inl_ptr, self._inl_src
+
     def edges(self) -> Iterator[tuple]:
         """Iterate ``(src, dst, label)`` as python ints, canonical order."""
         for s, d, l in zip(self._src.tolist(), self._dst.tolist(), self._lbl.tolist()):

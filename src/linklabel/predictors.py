@@ -22,6 +22,10 @@ distribution) or undefined, in which case ``decide`` substitutes the class
 prior and flags the fallback. Undefined arises when no context entry has any
 usable support; the skip rules below treat all labels symmetrically so no
 label is ever favored by missing data alone.
+
+``predict`` answers one query; ``predict_many`` answers many against one
+graph from batched evidence and gives the same floats, and ``decide_many``
+is the matching form of ``decide``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counts import ANY, ClusterCounts, CooccurrenceCounts
+from .counts import ANY, ClusterCounts, ClusterEvidence, CooccurrenceCounts, context_evidence
 from .graph import PredictionQuery, SignedGraph, context_of
 
 #: Recognized model kinds, in canonical order.
@@ -42,6 +46,9 @@ CLUSTER_KINDS = ("gtlgm", "gcgm", "stlgm", "scgm")
 
 #: Kinds that need node-level counts.
 LOCAL_KINDS = ("ltlgm", "lcgm", "stlgm", "scgm")
+
+#: Kinds that average one label distribution per context entry.
+TARGET_KINDS = ("ltlgm", "gtlgm", "stlgm")
 
 
 @dataclass
@@ -122,6 +129,9 @@ def decide(dist: LabelDistribution, prior: LabelDistribution, graph=None):
     Returns (label_index, used_fallback). An undefined distribution is
     replaced by the prior (flag set). Exact probability ties break toward
     the label with the higher prior, then toward the lower label index.
+    "Exact" means bitwise-equal floats: the averaging and log-space models
+    add float terms, so a tie that holds in exact arithmetic can come out
+    one ulp apart, and then the larger float wins without the tie rule.
     """
     if not prior.defined:
         raise ValueError("prior must be defined")
@@ -131,6 +141,19 @@ def decide(dist: LabelDistribution, prior: LabelDistribution, graph=None):
     cands = np.flatnonzero(probs == top).tolist()
     label = min(cands, key=lambda l: (-float(prior.probs[l]), l))
     return label, used_fallback
+
+
+def decide_many(probs: np.ndarray, defined: np.ndarray, prior: LabelDistribution):
+    """``decide`` for the rows of ``predict_many``, with the same tie rule.
+
+    Returns (labels, used_fallback) as (Q,) arrays.
+    """
+    if not prior.defined:
+        raise ValueError("prior must be defined")
+    p = np.where(defined[:, None], probs, prior.probs)
+    top = p == p.max(axis=1, keepdims=True)
+    order = sorted(range(prior.probs.size), key=lambda l: (-float(prior.probs[l]), l))
+    return np.asarray(order)[np.argmax(top[:, order], axis=1)], ~defined
 
 
 def _normalize_log_scores(log_scores: np.ndarray, support) -> LabelDistribution:
@@ -204,19 +227,18 @@ def predict_lcgm(graph: SignedGraph, counts: CooccurrenceCounts,
     prior = _prior_vector(graph, config)
     with np.errstate(divide="ignore"):
         log_scores = np.log(prior)
-    for (x, lx), _ in zip(ctx.entries(), ctx.weights.tolist()):
-        dens = np.array([counts.count(x, ANY, j, l) for l in range(L)], dtype=float)
-        if alpha == 0 and np.any(dens == 0):
-            if collect_support:
-                support.append({"head": x, "label": lx, "used": "skipped"})
-            continue
-        nums = np.array([counts.count(j, l, x, lx) for l in range(L)], dtype=float)
-        p = (nums + alpha) / (dens + alpha * L)
-        with np.errstate(divide="ignore"):
+        for x, lx in ctx.entries():
+            dens = np.array([counts.count(x, ANY, j, l) for l in range(L)], dtype=float)
+            if alpha == 0 and np.any(dens == 0):
+                if collect_support:
+                    support.append({"head": x, "label": lx, "used": "skipped"})
+                continue
+            nums = np.array([counts.count(j, l, x, lx) for l in range(L)], dtype=float)
+            p = (nums + alpha) / (dens + alpha * L)
             log_scores = log_scores + np.log(p)
-        if collect_support:
-            support.append({"head": x, "label": lx,
-                            "n_local": dens.astype(int).tolist(), "used": "local"})
+            if collect_support:
+                support.append({"head": x, "label": lx,
+                                "n_local": dens.astype(int).tolist(), "used": "local"})
     return _normalize_log_scores(log_scores, support)
 
 
@@ -275,20 +297,21 @@ def predict_gcgm(graph: SignedGraph, cluster_counts: ClusterCounts, partition,
     prior = _prior_vector(graph, config)
     with np.errstate(divide="ignore"):
         log_scores = np.log(prior)
-    for (x, lx), _ in zip(ctx.entries(), ctx.weights.tolist()):
-        cx = int(asg[x])
-        dens = np.array([cluster_counts.count(s, cx, ANY, cj, l) for l in range(L)], dtype=float)
-        if alpha == 0 and np.any(dens == 0):
-            if collect_support:
-                support.append({"head": x, "label": lx, "used": "skipped"})
-            continue
-        nums = np.array([cluster_counts.count(s, cx, lx, cj, l) for l in range(L)], dtype=float)
-        p = (nums + alpha) / (dens + alpha * L)
-        with np.errstate(divide="ignore"):
+        for x, lx in ctx.entries():
+            cx = int(asg[x])
+            dens = np.array([cluster_counts.count(s, cx, ANY, cj, l) for l in range(L)],
+                            dtype=float)
+            if alpha == 0 and np.any(dens == 0):
+                if collect_support:
+                    support.append({"head": x, "label": lx, "used": "skipped"})
+                continue
+            nums = np.array([cluster_counts.count(s, cx, lx, cj, l) for l in range(L)],
+                            dtype=float)
+            p = (nums + alpha) / (dens + alpha * L)
             log_scores = log_scores + np.log(p)
-        if collect_support:
-            support.append({"head": x, "label": lx,
-                            "n_global": dens.astype(int).tolist(), "used": "global"})
+            if collect_support:
+                support.append({"head": x, "label": lx,
+                                "n_global": dens.astype(int).tolist(), "used": "global"})
     return _normalize_log_scores(log_scores, support)
 
 
@@ -343,9 +366,8 @@ def predict_stlgm(graph: SignedGraph, counts: CooccurrenceCounts,
             term, used = (1.0 - lam) * lterm + lam * gterm, "blend"
         else:
             n_l = np.array([counts.count(x, ANY, j, l) for l in range(L)], dtype=float)
-            with np.errstate(invalid="ignore"):
-                # mu = 0 with n = 0 is taken as "no smoothing": stay local.
-                lam = np.where((n_l == 0) & (mu == 0), 0.0, mu / (n_l + mu))
+            # mu = 0 is "no smoothing", also where n = 0: stay local.
+            lam = mu / (n_l + mu) if mu else np.zeros(L)
             blended = (1.0 - lam) * lterm + lam * gterm
             tot = blended.sum()
             if tot == 0.0:
@@ -389,38 +411,47 @@ def predict_scgm(graph: SignedGraph, counts: CooccurrenceCounts,
     mu = config.mu
     support = [] if collect_support else None
     prior = _prior_vector(graph, config)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_scores = np.log(prior)
-    for (x, lx), _ in zip(ctx.entries(), ctx.weights.tolist()):
-        cx = int(asg[x])
-        ldens = np.array([counts.count(x, ANY, j, l) for l in range(L)], dtype=float)
-        gdens = np.array([cluster_counts.count(s, cx, ANY, cj, l) for l in range(L)], dtype=float)
-        if np.any((ldens == 0) & (gdens == 0)):
-            if collect_support:
-                support.append({"head": x, "label": lx, "used": "skipped"})
-            continue
-        lnums = np.array([counts.count(j, l, x, lx) for l in range(L)], dtype=float)
-        gnums = np.array([cluster_counts.count(s, cx, lx, cj, l) for l in range(L)], dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        for x, lx in ctx.entries():
+            cx = int(asg[x])
+            ldens = np.array([counts.count(x, ANY, j, l) for l in range(L)], dtype=float)
+            gdens = np.array([cluster_counts.count(s, cx, ANY, cj, l) for l in range(L)],
+                             dtype=float)
+            if np.any((ldens == 0) & (gdens == 0)):
+                if collect_support:
+                    support.append({"head": x, "label": lx, "used": "skipped"})
+                continue
+            lnums = np.array([counts.count(j, l, x, lx) for l in range(L)], dtype=float)
+            gnums = np.array([cluster_counts.count(s, cx, lx, cj, l) for l in range(L)],
+                             dtype=float)
             p_loc = np.where(ldens > 0, lnums / np.where(ldens > 0, ldens, 1.0), 0.0)
             p_glob = np.where(gdens > 0, gnums / np.where(gdens > 0, gdens, 1.0), 0.0)
-        if config.lambda_mode == "paper":
-            n_prime = counts.count(j, ANY, x, lx)
-            base = 0.0 if (mu == 0 and n_prime == 0) else mu / (n_prime + mu)
-            lam = np.full(L, base)
-        else:
-            with np.errstate(invalid="ignore"):
+            if config.lambda_mode == "paper":
+                n_prime = counts.count(j, ANY, x, lx)
+                base = 0.0 if (mu == 0 and n_prime == 0) else mu / (n_prime + mu)
+                lam = np.full(L, base)
+            else:
                 lam = mu / (ldens + mu)
-        # Labels with no local support go fully global and vice versa; the
-        # symmetric skip above guarantees these never overlap.
-        lam = np.where(ldens == 0, 1.0, lam)
-        lam = np.where(gdens == 0, 0.0, lam)
-        p = (1.0 - lam) * p_loc + lam * p_glob
-        with np.errstate(divide="ignore"):
+            # Labels with no local support go fully global and vice versa; the
+            # symmetric skip above guarantees these never overlap.
+            lam = np.where(ldens == 0, 1.0, lam)
+            lam = np.where(gdens == 0, 0.0, lam)
+            p = (1.0 - lam) * p_loc + lam * p_glob
             log_scores = log_scores + np.log(p)
-        if collect_support:
-            support.append({"head": x, "label": lx, "lambda": lam.tolist(), "used": "blend"})
+            if collect_support:
+                support.append({"head": x, "label": lx, "lambda": lam.tolist(),
+                                "used": "blend"})
     return _normalize_log_scores(log_scores, support)
+
+
+def _checked_kind(model_kind: str, cluster_counts, partition) -> str:
+    kind = model_kind.lower()
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
+    if kind in CLUSTER_KINDS and (cluster_counts is None or partition is None):
+        raise ValueError(f"model {kind} needs a partition and cluster-level counts")
+    return kind
 
 
 def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
@@ -433,15 +464,11 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
     Validates that the components the kind requires are present. The
     "prior" kind ignores the query and returns the training class prior.
     """
-    kind = model_kind.lower()
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
+    kind = _checked_kind(model_kind, cluster_counts, partition)
     if config is None:
         config = SmoothingConfig()
     if kind in LOCAL_KINDS and counts is None:
         raise ValueError(f"model {kind} needs node-level counts")
-    if kind in CLUSTER_KINDS and (cluster_counts is None or partition is None):
-        raise ValueError(f"model {kind} needs a partition and cluster-level counts")
     if kind == "prior":
         return class_prior(graph)
     if kind == "ltlgm":
@@ -455,3 +482,175 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
     if kind == "stlgm":
         return predict_stlgm(graph, counts, cluster_counts, partition, query, config, collect_support)
     return predict_scgm(graph, counts, cluster_counts, partition, query, config, collect_support)
+
+
+# -- batched prediction ---------------------------------------------------------------
+
+def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
+                 counts: Optional[CooccurrenceCounts] = None,
+                 cluster_counts: Optional[ClusterCounts] = None,
+                 partition=None, config: Optional[SmoothingConfig] = None):
+    """Answer many queries at once, bit for bit as ``predict`` answers each.
+
+    Query q is ``initiators[q] -> receivers[q]``. Node-level counts come
+    from one receiver-blocked pass over ``graph`` (``context_evidence``),
+    cluster-level counts from ``cluster_counts.table``, once per distinct
+    key. Each entry's term is computed with the scalar models' arithmetic,
+    and the terms are accumulated position by position in context order,
+    so probabilities, defined flags and exact ties equal ``predict``'s.
+
+    Args:
+        counts: optional, since the node-level counts are taken from
+            ``graph``; when given it must count over ``graph`` itself,
+            without a node filter.
+        cluster_counts, partition: required for the cluster-backed kinds.
+        config: smoothing settings (defaults if None).
+
+    Returns:
+        (probs, defined): probs is (Q, L) with NaN rows where the answer is
+        undefined; defined is a (Q,) bool array.
+    """
+    kind = _checked_kind(model_kind, cluster_counts, partition)
+    if counts is not None and (counts.graph is not graph or counts.node_filter is not None):
+        raise ValueError("counts must count over the same graph, without a node filter")
+    config = config or SmoothingConfig()
+    initiators = np.asarray(initiators, dtype=np.int64)
+    receivers = np.asarray(receivers, dtype=np.int64)
+    if initiators.ndim != 1 or initiators.shape != receivers.shape:
+        raise ValueError("initiators and receivers must be 1-D arrays of equal length")
+    if np.any(initiators == receivers):
+        raise ValueError("initiator and receiver must differ")
+    n = graph.node_count
+    if np.any((initiators < 0) | (initiators >= n) | (receivers < 0) | (receivers >= n)):
+        raise ValueError("query node out of range")
+    L = graph.alphabet.size
+    probs = np.full((initiators.size, L), np.nan)
+    defined = np.zeros(initiators.size, dtype=bool)
+    if kind == "prior":
+        probs[:] = class_prior(graph).probs
+        defined[:] = True
+        return probs, defined
+    evidence = ClusterEvidence(cluster_counts) if kind in CLUSTER_KINDS else None
+    if kind not in TARGET_KINDS:
+        with np.errstate(divide="ignore"):
+            log_prior = np.log(_prior_vector(graph, config))
+    for blk in context_evidence(graph, initiators, receivers,
+                                with_counts=kind in LOCAL_KINDS):
+        glob = None
+        if evidence is not None:
+            asg = partition.assignment
+            q = blk.queries[blk.row]
+            glob = evidence.lookup(asg[initiators[q]], asg[blk.heads], blk.labels,
+                                   asg[receivers[q]])
+        if kind in TARGET_KINDS:
+            keep, term = _target_terms(kind, blk, glob, config)
+            p, d = _average(blk, keep, term, L)
+        else:
+            keep, log_p = _factor_logs(kind, blk, glob, config, L)
+            p, d = _log_product(blk, keep, log_p, log_prior)
+        probs[blk.queries] = p
+        defined[blk.queries] = d
+    return probs, defined
+
+
+def _target_terms(kind, blk, glob, config):
+    """Per-entry distributions of the target-link models: (kept entries, their terms)."""
+    if kind == "ltlgm":
+        den = blk.num.sum(axis=1)
+        keep = den > 0
+        return keep, blk.num[keep].astype(float) / den[keep, None]
+    gnum, gden, _ = glob
+    if kind == "gtlgm":
+        keep = gden > 0
+        num = gnum[keep].astype(float)
+        return keep, num / num.sum(axis=1)[:, None]
+    lden = blk.num.sum(axis=1)
+    keep = (lden > 0) | (gden > 0)
+    num, lden, gnum, gden = blk.num[keep], lden[keep], gnum[keep].astype(float), gden[keep]
+    has_l = lden > 0
+    lterm = num.astype(float) / np.where(has_l, lden, 1)[:, None]
+    gterm = gnum / np.where(gden > 0, gnum.sum(axis=1), 1.0)[:, None]
+    term = np.where(has_l[:, None], lterm, gterm)       # one-sided entries
+    both = has_l & (gden > 0)
+    mu = config.mu
+    if config.lambda_mode == "support":
+        lam = (mu / (lden[both] + mu))[:, None]
+        term[both] = (1.0 - lam) * lterm[both] + lam * gterm[both]
+    else:
+        n_l = blk.mirrored[keep][both].astype(float)
+        lam = mu / (n_l + mu) if mu else np.zeros_like(n_l)
+        blended = (1.0 - lam) * lterm[both] + lam * gterm[both]
+        # The blend's sum is positive: gterm has a positive label and lam > 0
+        # where mu > 0, and with mu = 0 the blend is lterm.
+        term[both] = blended / blended.sum(axis=1)[:, None]
+    return keep, term
+
+
+def _factor_logs(kind, blk, glob, config, L):
+    """Per-entry log factors of the context-generator models: (kept entries, logs)."""
+    alpha, mu = config.lcgm_floor_alpha, config.mu
+    if kind in ("lcgm", "gcgm"):
+        nums, dens = (blk.num, blk.mirrored) if kind == "lcgm" else (glob[0], glob[2])
+        keep = np.all(dens != 0, axis=1) if alpha == 0 else np.ones(dens.shape[0], bool)
+        nums, dens = nums[keep].astype(float), dens[keep].astype(float)
+        with np.errstate(divide="ignore"):
+            return keep, np.log((nums + alpha) / (dens + alpha * L))
+    gnum, _, gdens = glob
+    ldens, gdens = blk.mirrored.astype(float), gdens.astype(float)
+    keep = ~np.any((ldens == 0) & (gdens == 0), axis=1)
+    ldens, gdens = ldens[keep], gdens[keep]
+    lnums, gnums = blk.num[keep].astype(float), gnum[keep].astype(float)
+    p_loc = np.where(ldens > 0, lnums / np.where(ldens > 0, ldens, 1.0), 0.0)
+    p_glob = np.where(gdens > 0, gnums / np.where(gdens > 0, gdens, 1.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if config.lambda_mode == "paper":
+            n_prime = blk.num[keep].sum(axis=1)
+            base = mu / (n_prime + mu) if mu else np.zeros(n_prime.size)
+            lam = np.repeat(base[:, None], L, axis=1)
+        else:
+            lam = mu / (ldens + mu)
+        lam = np.where(ldens == 0, 1.0, lam)
+        lam = np.where(gdens == 0, 0.0, lam)
+        return keep, np.log((1.0 - lam) * p_loc + lam * p_glob)
+
+
+def _by_position(position):
+    """Entry indices grouped by context position 0, 1, 2, ..., each group ascending."""
+    if position.size == 0:
+        return []
+    order = np.argsort(position, kind="stable")
+    bounds = np.searchsorted(position[order], np.arange(position[order[-1]] + 2))
+    return [order[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def _average(blk, keep, term, L):
+    # Weighted mean over the kept entries, summed in context order as the
+    # scalar target-link models sum it.
+    rows = blk.row[keep]
+    w = 1.0 / blk.sizes[rows]
+    contrib = w[:, None] * term
+    acc = np.zeros((blk.queries.size, L))
+    weight = np.zeros(blk.queries.size)
+    for sel in _by_position(blk.position[keep]):
+        r = rows[sel]
+        acc[r] += contrib[sel]
+        weight[r] += w[sel]
+    defined = weight > 0.0
+    probs = np.full_like(acc, np.nan)
+    probs[defined] = acc[defined] / weight[defined, None]
+    return probs, defined
+
+
+def _log_product(blk, keep, log_p, log_prior):
+    # Prior times the kept factors in log space, in context order, then
+    # normalized as _normalize_log_scores does.
+    rows = blk.row[keep]
+    scores = np.tile(log_prior, (blk.queries.size, 1))
+    for sel in _by_position(blk.position[keep]):
+        scores[rows[sel]] += log_p[sel]
+    m = scores.max(axis=1)
+    defined = m != -np.inf
+    w = np.exp(scores[defined] - m[defined, None])
+    probs = np.full_like(scores, np.nan)
+    probs[defined] = w / w.sum(axis=1)[:, None]
+    return probs, defined

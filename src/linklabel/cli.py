@@ -30,6 +30,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -87,18 +88,6 @@ def _cluster_config(args) -> ClusterConfig:
                          restarts=args.restarts)
 
 
-def _model_echo(args) -> dict:
-    return {"mu": args.mu, "lambda_mode": args.lambda_mode,
-            "lcgm_floor_alpha": args.alpha, "prior_mode": args.prior_mode}
-
-
-def _cluster_echo(cfg: ClusterConfig) -> dict:
-    return {"K": cfg.K, "max_sweeps": cfg.max_sweeps, "scan": cfg.scan,
-            "temperature": cfg.temperature, "greedy": cfg.greedy,
-            "seed": cfg.seed, "early_stop_rel_tol": cfg.early_stop_rel_tol,
-            "restarts": cfg.restarts}
-
-
 def _load(args):
     return load_edge_list(args.input, LoadOptions())
 
@@ -149,7 +138,7 @@ def _cmd_cluster(args):
     graph, _ = _load(args)
     cfg = _cluster_config(args)
     part, trace = cluster(graph, cfg)
-    meta = _meta("cluster", args, {"input": args.input}, {"clustering": _cluster_echo(cfg)})
+    meta = _meta("cluster", args, {"input": args.input}, {"clustering": asdict(cfg)})
     records = [meta]
     for sweep, phi, moves in trace:
         records.append({"record": "sweep", "sweep": sweep, "phi": phi, "moves": moves})
@@ -197,12 +186,12 @@ def _cmd_predict(args):
         else:
             counts = CooccurrenceCounts.on_demand(graph)
     partition = cluster_counts = None
-    config_echo = {"model": kind, **_model_echo(args), "nam_strategy": args.nam_strategy}
+    config_echo = {"model": kind, **asdict(mcfg), "nam_strategy": args.nam_strategy}
     if kind in CLUSTER_KINDS:
         partition = _partition_for(args, graph)
         cluster_counts = ClusterCounts.from_partition(graph, partition)
         if not args.partition_file:
-            config_echo["clustering"] = _cluster_echo(_cluster_config(args))
+            config_echo["clustering"] = asdict(_cluster_config(args))
     inputs = {"input": args.input, "queries": args.queries}
     if args.partition_file:
         inputs["partition"] = args.partition_file
@@ -224,6 +213,9 @@ def _cmd_predict(args):
             "label": names[label], "fallback": bool(fb),
             "probs": {names[l]: float(probs[l]) for l in range(len(names))},
         }
+        if j in graph.out_arrays(i)[0]:
+            # The edge's own label is part of the evidence for its query.
+            rec["in_graph"] = True
         if args.verbose and dist.support is not None:
             rec["support"] = [
                 {**e, "head": graph.external_of(e["head"]),
@@ -263,9 +255,9 @@ def _cmd_sweep(args):
     records = sparsity_sweep(graph, densities, models, mcfg, ccfg,
                              folds=args.folds, seed=args.seed, threads=args.threads)
     config_echo = {"models": models, "densities": densities, "folds": args.folds,
-                   **_model_echo(args)}
+                   **asdict(mcfg)}
     if ccfg is not None:
-        config_echo["clustering"] = _cluster_echo(ccfg)
+        config_echo["clustering"] = asdict(ccfg)
     meta = _meta("sweep", args, {"input": args.input}, config_echo)
     human = [f"{'density':>8} {'model':>8} {'bal.acc':>9} {'fallback':>9}"]
     for r in records:
@@ -325,7 +317,7 @@ def _cmd_update(args):
     config_echo = {"nam_budget": args.nam_budget,
                    "auto_intern": not args.no_intern}
     if not args.partition_file:
-        config_echo["clustering"] = _cluster_echo(_cluster_config(args))
+        config_echo["clustering"] = asdict(_cluster_config(args))
     meta = _meta("update", args, inputs, config_echo)
     records = [meta, {
         "record": "batch",

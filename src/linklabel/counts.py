@@ -31,7 +31,8 @@ rebuilds the edge map and the ``SignedGraph``, which is O(edges): about
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -98,43 +99,25 @@ class CooccurrenceCounts:
     graph; ``precomputed`` holds a sparse table built by enumerating every
     tail's ordered out-edge pairs, which also makes incremental stream
     updates possible.
-
-    With a ``node_filter``, the precomputed table only stores entries whose
-    BOTH head nodes pass the predicate; queries outside the filtered set
-    silently return 0, so filtered tables must only be queried for nodes of
-    interest.
     """
 
     def __init__(self, graph: SignedGraph, strategy: str, table: Optional[dict] = None,
-                 node_filter: Optional[Callable[[int], bool]] = None,
                  projected_pair_cost: Optional[int] = None):
         if strategy not in ("on_demand", "precomputed"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.graph = graph
         self.strategy = strategy
         self.table = table if table is not None else ({} if strategy == "precomputed" else None)
-        self.node_filter = node_filter
         self.projected_pair_cost = projected_pair_cost
-        self._allowed_cache: dict = {}
 
     @classmethod
     def on_demand(cls, graph: SignedGraph) -> "CooccurrenceCounts":
         return cls(graph, "on_demand")
 
     @classmethod
-    def precomputed(cls, graph: SignedGraph, node_filter=None,
-                    budget: int = DEFAULT_PAIR_BUDGET, override: bool = False):
-        return build_precomputed_nam(graph, node_filter=node_filter,
-                                     budget=budget, override=override)
-
-    def _allowed(self, node: int) -> bool:
-        if self.node_filter is None:
-            return True
-        ok = self._allowed_cache.get(node)
-        if ok is None:
-            ok = bool(self.node_filter(node))
-            self._allowed_cache[node] = ok
-        return ok
+    def precomputed(cls, graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
+                    override: bool = False):
+        return build_precomputed_nam(graph, budget=budget, override=override)
 
     def count(self, m: int, l: int, n: int, lp: int) -> int:
         """Exact count for (m, l, n, lp); absent precomputed keys are 0."""
@@ -150,8 +133,7 @@ def projected_pair_cost(graph: SignedGraph) -> int:
     return int(np.sum(deg.astype(np.int64) ** 2))
 
 
-def build_precomputed_nam(graph: SignedGraph, node_filter=None,
-                          budget: int = DEFAULT_PAIR_BUDGET,
+def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
                           override: bool = False) -> CooccurrenceCounts:
     """Build the full sparse co-pointing table in one pass over tails.
 
@@ -162,8 +144,6 @@ def build_precomputed_nam(graph: SignedGraph, node_filter=None,
 
     Args:
         graph: the graph to index.
-        node_filter: optional predicate over head node ids; only pairs whose
-            both heads pass are stored.
         budget: maximum allowed ordered-pair count.
         override: build even when the budget is exceeded.
 
@@ -176,16 +156,13 @@ def build_precomputed_nam(graph: SignedGraph, node_filter=None,
     cost = projected_pair_cost(graph)
     if cost > budget and not override:
         raise BudgetExceededError(cost, budget)
-    counts = CooccurrenceCounts(graph, "precomputed", table={},
-                                node_filter=node_filter, projected_pair_cost=cost)
+    counts = CooccurrenceCounts(graph, "precomputed", table={}, projected_pair_cost=cost)
     table = counts.table
     for w in range(graph.node_count):
         heads, labels = graph.out_arrays(w)
         if heads.size == 0:
             continue
         out = list(zip(heads.tolist(), labels.tolist()))
-        if node_filter is not None:
-            out = [(h, l) for h, l in out if counts._allowed(h)]
         for h1, l1 in out:
             for h2, l2 in out:
                 _bump4(table, h1, l1, h2, l2, +1)
@@ -252,10 +229,13 @@ def block_table(graph: SignedGraph, block: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EvidenceBlock:
-    """The queries into one receiver block, their context entries and counts.
+    """Context entries of some queries, with their node-level counts.
 
-    Entries are ordered by query, then by context position (``context_of``
-    order). ``num`` and ``mirrored`` are None when counts were not asked for.
+    ``context_evidence`` yields one per receiver block; ``predict`` builds
+    one for a single query. Entries are ordered by query, then by context
+    position (``context_of`` order). ``num`` and ``mirrored`` are None when
+    counts were not asked for, and a one-query block leaves ``mirrored``
+    None when its model does not read it.
     """
 
     queries: np.ndarray            # (Q_b,) indices into the caller's query arrays
@@ -383,6 +363,32 @@ class ClusterCounts:
                     table.pop(k, None)
 
 
+@lru_cache(maxsize=None)
+def _row_selectors(L: int) -> tuple:
+    # The (l, lp) selectors of a cluster row, per context label l:
+    # count(s, m, l, n, lp) for every lp, count(s, m, l, n, ANY), and
+    # count(s, m, ANY, n, lp) for every lp.
+    return tuple(tuple([(l, lp) for lp in range(L)] + [(l, ANY)] + [(ANY, lp) for lp in range(L)])
+                 for l in range(L))
+
+
+def _split_rows(rows: np.ndarray, L: int):
+    return rows[:, :L], rows[:, L], rows[:, L + 1:]
+
+
+def cluster_evidence(cluster_counts: ClusterCounts, s: int, m, l, n: int):
+    """Cluster counts of one query's context entries, read from the table.
+
+    ``s`` and ``n`` are the initiator's and receiver's clusters, ``m`` and
+    ``l`` the entries' head clusters and labels. Returns what
+    ``ClusterEvidence.lookup`` returns for these entries.
+    """
+    L = cluster_counts.graph.alphabet.size
+    get, sel = cluster_counts.table.get, _row_selectors(L)
+    rows = [get((s, mx, a, n, b), 0) for mx, lx in zip(m, l) for a, b in sel[lx]]
+    return _split_rows(np.array(rows, dtype=np.int64).reshape(len(m), 2 * L + 1), L)
+
+
 class ClusterEvidence:
     """Cluster counts of many context entries, read from the table once per key.
 
@@ -397,18 +403,15 @@ class ClusterEvidence:
         self.table = cluster_counts.table
         self.K = cluster_counts.partition.K
         self.L = cluster_counts.graph.alphabet.size
+        self._sel = _row_selectors(self.L)
         self._rows: dict = {}
 
     def _row(self, code: int) -> list:
         row = self._rows.get(code)
         if row is None:
-            K, L = self.K, self.L
-            s, m, l, n = (int(v) for v in np.unravel_index(code, (K, K, L, K)))
+            s, m, l, n = (int(v) for v in np.unravel_index(code, (self.K, self.K, self.L, self.K)))
             get = self.table.get
-            row = ([get((s, m, l, n, lp), 0) for lp in range(L)]
-                   + [get((s, m, l, n, ANY), 0)]
-                   + [get((s, m, ANY, n, lp), 0) for lp in range(L)])
-            self._rows[code] = row
+            row = self._rows[code] = [get((s, m, a, n, b), 0) for a, b in self._sel[l]]
         return row
 
     def lookup(self, s, m, l, n):
@@ -417,7 +420,7 @@ class ClusterEvidence:
         uniq, inv = np.unique(code, return_inverse=True)
         rows = np.array([self._row(c) for c in uniq.tolist()],
                         dtype=np.int64).reshape(uniq.size, 2 * L + 1)[inv]
-        return rows[:, :L], rows[:, L], rows[:, L + 1:]
+        return _split_rows(rows, L)
 
 
 # -- snapshots ---------------------------------------------------------------
@@ -429,9 +432,7 @@ CAM_SNAPSHOT_HEADER = "cam-snapshot v1"
 def save_nam_snapshot(counts: CooccurrenceCounts, path) -> None:
     """Write a precomputed node-level table as versioned text, sorted keys.
 
-    Plain integers only, so files are identical across platforms. A filter
-    predicate, if any, is not persisted; reloaded tables answer exactly the
-    keys that were stored.
+    Plain integers only, so files are identical across platforms.
     """
     if counts.strategy != "precomputed":
         raise ValueError("only precomputed count tables can be snapshotted")
@@ -625,27 +626,18 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
                 out_nbrs[u] = d
             return d
 
-        def pair_ok(h1, h2):
-            return counts._allowed(h1) and counts._allowed(h2)
-
         for u, v, old, label in changes:
             d = nbrs_of(u)
             if old is not None:
                 del d[v]
-                if pair_ok(v, v):
-                    _bump4(table, v, old, v, old, -1)
+                _bump4(table, v, old, v, old, -1)
                 for h, lh in d.items():
-                    if pair_ok(v, h):
-                        _bump4(table, v, old, h, lh, -1)
-                    if pair_ok(h, v):
-                        _bump4(table, h, lh, v, old, -1)
-            if pair_ok(v, v):
-                _bump4(table, v, label, v, label, +1)
+                    _bump4(table, v, old, h, lh, -1)
+                    _bump4(table, h, lh, v, old, -1)
+            _bump4(table, v, label, v, label, +1)
             for h, lh in d.items():
-                if pair_ok(v, h):
-                    _bump4(table, v, label, h, lh, +1)
-                if pair_ok(h, v):
-                    _bump4(table, h, lh, v, label, +1)
+                _bump4(table, v, label, h, lh, +1)
+                _bump4(table, h, lh, v, label, +1)
             d[v] = label
 
     # Phase 3a: partition pair counts for changed edges between existing nodes.

@@ -17,7 +17,7 @@ documented speed/fidelity trade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -260,24 +260,10 @@ def evaluate(graph: SignedGraph, model_kind: str,
 
 
 def _config_echo(kind, model_config, cluster_config, fold_plan, reuse_clustering) -> dict:
-    echo = {
-        "model": kind,
-        "mu": model_config.mu,
-        "lambda_mode": model_config.lambda_mode,
-        "lcgm_floor_alpha": model_config.lcgm_floor_alpha,
-        "prior_mode": model_config.prior_mode,
-        "folds": fold_plan.k,
-        "fold_seed": fold_plan.seed,
-        "reuse_clustering": bool(reuse_clustering),
-    }
+    echo = {"model": kind, **asdict(model_config), "folds": fold_plan.k,
+            "fold_seed": fold_plan.seed, "reuse_clustering": bool(reuse_clustering)}
     if cluster_config is not None:
-        echo["clustering"] = {
-            "K": cluster_config.K, "max_sweeps": cluster_config.max_sweeps,
-            "scan": cluster_config.scan, "temperature": cluster_config.temperature,
-            "greedy": cluster_config.greedy, "seed": cluster_config.seed,
-            "early_stop_rel_tol": cluster_config.early_stop_rel_tol,
-            "restarts": cluster_config.restarts,
-        }
+        echo["clustering"] = asdict(cluster_config)
     return echo
 
 

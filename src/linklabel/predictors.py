@@ -23,19 +23,29 @@ prior and flags the fallback. Undefined arises when no context entry has any
 usable support; the skip rules below treat all labels symmetrically so no
 label is ever favored by missing data alone.
 
-``predict`` answers one query; ``predict_many`` answers many against one
-graph from batched evidence and gives the same floats, and ``decide_many``
-is the matching form of ``decide``.
+One evidence layer and one combine serve every model and both entry
+points. Evidence is an ``EvidenceBlock``: context entries with their
+node-level counts, plus the entries' cluster-level counts. ``predict`` fills
+a block of one query through ``CooccurrenceCounts.count``, so any count
+table serves it; ``predict_many`` fills blocks of many queries with one
+pass over the graph (``context_evidence``). ``_target_terms`` and
+``_factor_logs`` turn a block into per-entry terms or log factors, and
+``_ordered_sum`` adds them per query in context order, the float order of
+a loop over the context. The two entry points therefore give the same
+floats, and ``predict``'s support records come from the same per-entry
+arrays. ``predict_ltlgm`` ... ``predict_scgm`` are ``predict`` with their
+kind; ``decide_many`` is the matching form of ``decide``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .counts import ANY, ClusterCounts, ClusterEvidence, CooccurrenceCounts, context_evidence
+from .counts import (ANY, ClusterCounts, ClusterEvidence, CooccurrenceCounts, EvidenceBlock,
+                     cluster_evidence, context_evidence)
 from .graph import PredictionQuery, SignedGraph, context_of
 
 #: Recognized model kinds, in canonical order.
@@ -156,15 +166,7 @@ def decide_many(probs: np.ndarray, defined: np.ndarray, prior: LabelDistribution
     return np.asarray(order)[np.argmax(top[:, order], axis=1)], ~defined
 
 
-def _normalize_log_scores(log_scores: np.ndarray, support) -> LabelDistribution:
-    m = log_scores.max()
-    if m == -np.inf:
-        return LabelDistribution.undefined(support)
-    w = np.exp(log_scores - m)
-    return LabelDistribution.from_probs(w / w.sum(), support)
-
-
-# -- local models ---------------------------------------------------------------
+# -- the six models: ``predict`` with their kind --------------------------------------
 
 def predict_ltlgm(graph: SignedGraph, counts: CooccurrenceCounts,
                   query: PredictionQuery, collect_support: bool = False) -> LabelDistribution:
@@ -185,25 +187,7 @@ def predict_ltlgm(graph: SignedGraph, counts: CooccurrenceCounts,
     Returns:
         LabelDistribution (defined iff any context entry had support).
     """
-    ctx = context_of(graph, query)
-    j = query.receiver
-    L = graph.alphabet.size
-    support = [] if collect_support else None
-    acc = np.zeros(L)
-    weight = 0.0
-    for (x, lx), w in zip(ctx.entries(), ctx.weights.tolist()):
-        den = counts.count(j, ANY, x, lx)
-        if collect_support:
-            support.append({"head": x, "label": lx, "n_local": den,
-                            "used": "local" if den else "skipped"})
-        if den == 0:
-            continue
-        term = np.array([counts.count(j, l, x, lx) for l in range(L)], dtype=float)
-        acc += w * (term / den)
-        weight += w
-    if weight == 0.0:
-        return LabelDistribution.undefined(support)
-    return LabelDistribution.from_probs(acc / weight, support)
+    return predict("ltlgm", graph, query, counts=counts, collect_support=collect_support)
 
 
 def predict_lcgm(graph: SignedGraph, counts: CooccurrenceCounts,
@@ -219,30 +203,9 @@ def predict_lcgm(graph: SignedGraph, counts: CooccurrenceCounts,
     space and normalized; all-zero scores yield undefined. An empty context
     returns the prior itself.
     """
-    ctx = context_of(graph, query)
-    j = query.receiver
-    L = graph.alphabet.size
-    alpha = config.lcgm_floor_alpha
-    support = [] if collect_support else None
-    prior = _prior_vector(graph, config)
-    with np.errstate(divide="ignore"):
-        log_scores = np.log(prior)
-        for x, lx in ctx.entries():
-            dens = np.array([counts.count(x, ANY, j, l) for l in range(L)], dtype=float)
-            if alpha == 0 and np.any(dens == 0):
-                if collect_support:
-                    support.append({"head": x, "label": lx, "used": "skipped"})
-                continue
-            nums = np.array([counts.count(j, l, x, lx) for l in range(L)], dtype=float)
-            p = (nums + alpha) / (dens + alpha * L)
-            log_scores = log_scores + np.log(p)
-            if collect_support:
-                support.append({"head": x, "label": lx,
-                                "n_local": dens.astype(int).tolist(), "used": "local"})
-    return _normalize_log_scores(log_scores, support)
+    return predict("lcgm", graph, query, counts=counts, config=config,
+                   collect_support=collect_support)
 
-
-# -- cluster-level models ----------------------------------------------------------
 
 def predict_gtlgm(graph: SignedGraph, cluster_counts: ClusterCounts, partition,
                   query: PredictionQuery, collect_support: bool = False) -> LabelDistribution:
@@ -254,28 +217,8 @@ def predict_gtlgm(graph: SignedGraph, cluster_counts: ClusterCounts, partition,
     c_j with l. Per-label numerators can overlap at cluster level, so every
     surviving term is renormalized over labels before averaging.
     """
-    ctx = context_of(graph, query)
-    asg = partition.assignment
-    s = int(asg[query.initiator])
-    cj = int(asg[query.receiver])
-    L = graph.alphabet.size
-    support = [] if collect_support else None
-    acc = np.zeros(L)
-    weight = 0.0
-    for (x, lx), w in zip(ctx.entries(), ctx.weights.tolist()):
-        cx = int(asg[x])
-        den = cluster_counts.count(s, cx, lx, cj, ANY)
-        if collect_support:
-            support.append({"head": x, "label": lx, "n_global": den,
-                            "used": "global" if den else "skipped"})
-        if den == 0:
-            continue
-        num = np.array([cluster_counts.count(s, cx, lx, cj, l) for l in range(L)], dtype=float)
-        acc += w * (num / num.sum())
-        weight += w
-    if weight == 0.0:
-        return LabelDistribution.undefined(support)
-    return LabelDistribution.from_probs(acc / weight, support)
+    return predict("gtlgm", graph, query, cluster_counts=cluster_counts,
+                   partition=partition, collect_support=collect_support)
 
 
 def predict_gcgm(graph: SignedGraph, cluster_counts: ClusterCounts, partition,
@@ -287,35 +230,9 @@ def predict_gcgm(graph: SignedGraph, cluster_counts: ClusterCounts, partition,
     cam(s, c_x, ANY, c_j, l); the same floor, symmetric skip, log-space
     product and prior machinery apply.
     """
-    ctx = context_of(graph, query)
-    asg = partition.assignment
-    s = int(asg[query.initiator])
-    cj = int(asg[query.receiver])
-    L = graph.alphabet.size
-    alpha = config.lcgm_floor_alpha
-    support = [] if collect_support else None
-    prior = _prior_vector(graph, config)
-    with np.errstate(divide="ignore"):
-        log_scores = np.log(prior)
-        for x, lx in ctx.entries():
-            cx = int(asg[x])
-            dens = np.array([cluster_counts.count(s, cx, ANY, cj, l) for l in range(L)],
-                            dtype=float)
-            if alpha == 0 and np.any(dens == 0):
-                if collect_support:
-                    support.append({"head": x, "label": lx, "used": "skipped"})
-                continue
-            nums = np.array([cluster_counts.count(s, cx, lx, cj, l) for l in range(L)],
-                            dtype=float)
-            p = (nums + alpha) / (dens + alpha * L)
-            log_scores = log_scores + np.log(p)
-            if collect_support:
-                support.append({"head": x, "label": lx,
-                                "n_global": dens.astype(int).tolist(), "used": "global"})
-    return _normalize_log_scores(log_scores, support)
+    return predict("gcgm", graph, query, cluster_counts=cluster_counts,
+                   partition=partition, config=config, collect_support=collect_support)
 
-
-# -- smoothed blends -----------------------------------------------------------------
 
 def predict_stlgm(graph: SignedGraph, counts: CooccurrenceCounts,
                   cluster_counts: ClusterCounts, partition,
@@ -332,59 +249,8 @@ def predict_stlgm(graph: SignedGraph, counts: CooccurrenceCounts,
     undefined stays fully local (lambda = 0); entries with neither are
     skipped, and with no survivor the result is undefined.
     """
-    ctx = context_of(graph, query)
-    j = query.receiver
-    asg = partition.assignment
-    s = int(asg[query.initiator])
-    cj = int(asg[j])
-    L = graph.alphabet.size
-    mu = config.mu
-    support = [] if collect_support else None
-    acc = np.zeros(L)
-    weight = 0.0
-    for (x, lx), w in zip(ctx.entries(), ctx.weights.tolist()):
-        lden = counts.count(j, ANY, x, lx)
-        cx = int(asg[x])
-        gden = cluster_counts.count(s, cx, lx, cj, ANY)
-        info = {"head": x, "label": lx, "n_local": lden} if collect_support else None
-        if lden == 0 and gden == 0:
-            if collect_support:
-                info["used"] = "skipped"
-                support.append(info)
-            continue
-        if lden:
-            lterm = np.array([counts.count(j, l, x, lx) for l in range(L)], dtype=float) / lden
-        if gden:
-            gnum = np.array([cluster_counts.count(s, cx, lx, cj, l) for l in range(L)], dtype=float)
-            gterm = gnum / gnum.sum()
-        if lden == 0:
-            term, lam, used = gterm, 1.0, "global"
-        elif gden == 0:
-            term, lam, used = lterm, 0.0, "local"
-        elif config.lambda_mode == "support":
-            lam = mu / (lden + mu)
-            term, used = (1.0 - lam) * lterm + lam * gterm, "blend"
-        else:
-            n_l = np.array([counts.count(x, ANY, j, l) for l in range(L)], dtype=float)
-            # mu = 0 is "no smoothing", also where n = 0: stay local.
-            lam = mu / (n_l + mu) if mu else np.zeros(L)
-            blended = (1.0 - lam) * lterm + lam * gterm
-            tot = blended.sum()
-            if tot == 0.0:
-                if collect_support:
-                    info["used"] = "skipped"
-                    support.append(info)
-                continue
-            term, used = blended / tot, "blend"
-        if collect_support:
-            info["lambda"] = lam.tolist() if isinstance(lam, np.ndarray) else lam
-            info["used"] = used
-            support.append(info)
-        acc += w * term
-        weight += w
-    if weight == 0.0:
-        return LabelDistribution.undefined(support)
-    return LabelDistribution.from_probs(acc / weight, support)
+    return predict("stlgm", graph, query, counts=counts, cluster_counts=cluster_counts,
+                   partition=partition, config=config, collect_support=collect_support)
 
 
 def predict_scgm(graph: SignedGraph, counts: CooccurrenceCounts,
@@ -402,47 +268,8 @@ def predict_scgm(graph: SignedGraph, counts: CooccurrenceCounts,
     neither is skipped symmetrically. Log-space product with the prior;
     all-zero scores yield undefined; an empty context returns the prior.
     """
-    ctx = context_of(graph, query)
-    j = query.receiver
-    asg = partition.assignment
-    s = int(asg[query.initiator])
-    cj = int(asg[j])
-    L = graph.alphabet.size
-    mu = config.mu
-    support = [] if collect_support else None
-    prior = _prior_vector(graph, config)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_scores = np.log(prior)
-        for x, lx in ctx.entries():
-            cx = int(asg[x])
-            ldens = np.array([counts.count(x, ANY, j, l) for l in range(L)], dtype=float)
-            gdens = np.array([cluster_counts.count(s, cx, ANY, cj, l) for l in range(L)],
-                             dtype=float)
-            if np.any((ldens == 0) & (gdens == 0)):
-                if collect_support:
-                    support.append({"head": x, "label": lx, "used": "skipped"})
-                continue
-            lnums = np.array([counts.count(j, l, x, lx) for l in range(L)], dtype=float)
-            gnums = np.array([cluster_counts.count(s, cx, lx, cj, l) for l in range(L)],
-                             dtype=float)
-            p_loc = np.where(ldens > 0, lnums / np.where(ldens > 0, ldens, 1.0), 0.0)
-            p_glob = np.where(gdens > 0, gnums / np.where(gdens > 0, gdens, 1.0), 0.0)
-            if config.lambda_mode == "paper":
-                n_prime = counts.count(j, ANY, x, lx)
-                base = 0.0 if (mu == 0 and n_prime == 0) else mu / (n_prime + mu)
-                lam = np.full(L, base)
-            else:
-                lam = mu / (ldens + mu)
-            # Labels with no local support go fully global and vice versa; the
-            # symmetric skip above guarantees these never overlap.
-            lam = np.where(ldens == 0, 1.0, lam)
-            lam = np.where(gdens == 0, 0.0, lam)
-            p = (1.0 - lam) * p_loc + lam * p_glob
-            log_scores = log_scores + np.log(p)
-            if collect_support:
-                support.append({"head": x, "label": lx, "lambda": lam.tolist(),
-                                "used": "blend"})
-    return _normalize_log_scores(log_scores, support)
+    return predict("scgm", graph, query, counts=counts, cluster_counts=cluster_counts,
+                   partition=partition, config=config, collect_support=collect_support)
 
 
 def _checked_kind(model_kind: str, cluster_counts, partition) -> str:
@@ -459,32 +286,59 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
             cluster_counts: Optional[ClusterCounts] = None,
             partition=None, config: Optional[SmoothingConfig] = None,
             collect_support: bool = False) -> LabelDistribution:
-    """Dispatch a query to one model by kind name.
+    """Answer one query with the model of the given kind.
 
     Validates that the components the kind requires are present. The
     "prior" kind ignores the query and returns the training class prior.
+    Node-level counts are read through ``counts.count``, so a precomputed or
+    stream-updated table serves them; the answer equals ``predict_many``'s
+    for the same query.
     """
     kind = _checked_kind(model_kind, cluster_counts, partition)
-    if config is None:
-        config = SmoothingConfig()
+    config = config or SmoothingConfig()
     if kind in LOCAL_KINDS and counts is None:
         raise ValueError(f"model {kind} needs node-level counts")
     if kind == "prior":
         return class_prior(graph)
-    if kind == "ltlgm":
-        return predict_ltlgm(graph, counts, query, collect_support)
-    if kind == "lcgm":
-        return predict_lcgm(graph, counts, query, config, collect_support)
-    if kind == "gtlgm":
-        return predict_gtlgm(graph, cluster_counts, partition, query, collect_support)
-    if kind == "gcgm":
-        return predict_gcgm(graph, cluster_counts, partition, query, config, collect_support)
-    if kind == "stlgm":
-        return predict_stlgm(graph, counts, cluster_counts, partition, query, config, collect_support)
-    return predict_scgm(graph, counts, cluster_counts, partition, query, config, collect_support)
+    # The mirrored counts cost L more lookups per entry; only these read them.
+    mirrored = kind in ("lcgm", "scgm") or (kind == "stlgm" and config.lambda_mode == "paper")
+    blk = _query_evidence(graph, counts if kind in LOCAL_KINDS else None, query, mirrored)
+    glob = None
+    if kind in CLUSTER_KINDS:
+        asg = partition.assignment
+        glob = cluster_evidence(cluster_counts, int(asg[query.initiator]),
+                                asg[blk.heads].tolist(), blk.labels.tolist(),
+                                int(asg[query.receiver]))
+    probs, defined, used, lam = _answer(kind, blk, glob, config, _log_prior(kind, graph, config))
+    support = _support(kind, blk, glob, used, lam, config) if collect_support else None
+    if not defined[0]:
+        return LabelDistribution.undefined(support)
+    return LabelDistribution.from_probs(probs[0], support)
 
 
-# -- batched prediction ---------------------------------------------------------------
+def _query_evidence(graph: SignedGraph, counts, query: PredictionQuery, mirrored: bool):
+    """The ``EvidenceBlock`` of one query, its counts read from ``counts`` if given.
+
+    An entry's per-label counts split its ANY count, so they are read only
+    where that is positive.
+    """
+    ctx = context_of(graph, query)
+    m = len(ctx)
+    num = mir = None
+    if counts is not None:
+        j, L, count = query.receiver, graph.alphabet.size, counts.count
+        entries = list(ctx.entries())
+        anys = [count(j, ANY, x, lx) for x, lx in entries]
+        num = np.array([count(j, l, x, lx) if n else 0
+                        for (x, lx), n in zip(entries, anys) for l in range(L)],
+                       dtype=np.int64).reshape(m, L)
+        if mirrored:
+            mir = np.array([count(x, ANY, j, l) for x, _ in entries for l in range(L)],
+                           dtype=np.int64).reshape(m, L)
+    return EvidenceBlock(np.zeros(1, dtype=np.int64), np.array([m]),
+                         np.zeros(m, dtype=np.int64), np.arange(m),
+                         ctx.heads, ctx.labels, num, mir)
+
 
 def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
                  counts: Optional[CooccurrenceCounts] = None,
@@ -495,14 +349,11 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
     Query q is ``initiators[q] -> receivers[q]``. Node-level counts come
     from one receiver-blocked pass over ``graph`` (``context_evidence``),
     cluster-level counts from ``cluster_counts.table``, once per distinct
-    key. Each entry's term is computed with the scalar models' arithmetic,
-    and the terms are accumulated position by position in context order,
-    so probabilities, defined flags and exact ties equal ``predict``'s.
+    key. The per-entry terms and their combine are those of ``predict``.
 
     Args:
         counts: optional, since the node-level counts are taken from
-            ``graph``; when given it must count over ``graph`` itself,
-            without a node filter.
+            ``graph``; when given it must count over ``graph`` itself.
         cluster_counts, partition: required for the cluster-backed kinds.
         config: smoothing settings (defaults if None).
 
@@ -511,8 +362,8 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
         undefined; defined is a (Q,) bool array.
     """
     kind = _checked_kind(model_kind, cluster_counts, partition)
-    if counts is not None and (counts.graph is not graph or counts.node_filter is not None):
-        raise ValueError("counts must count over the same graph, without a node filter")
+    if counts is not None and counts.graph is not graph:
+        raise ValueError("counts must count over the same graph")
     config = config or SmoothingConfig()
     initiators = np.asarray(initiators, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
@@ -531,9 +382,7 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
         defined[:] = True
         return probs, defined
     evidence = ClusterEvidence(cluster_counts) if kind in CLUSTER_KINDS else None
-    if kind not in TARGET_KINDS:
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(_prior_vector(graph, config))
+    log_prior = _log_prior(kind, graph, config)
     for blk in context_evidence(graph, initiators, receivers,
                                 with_counts=kind in LOCAL_KINDS):
         glob = None
@@ -542,115 +391,163 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
             q = blk.queries[blk.row]
             glob = evidence.lookup(asg[initiators[q]], asg[blk.heads], blk.labels,
                                    asg[receivers[q]])
-        if kind in TARGET_KINDS:
-            keep, term = _target_terms(kind, blk, glob, config)
-            p, d = _average(blk, keep, term, L)
-        else:
-            keep, log_p = _factor_logs(kind, blk, glob, config, L)
-            p, d = _log_product(blk, keep, log_p, log_prior)
+        p, d, _, _ = _answer(kind, blk, glob, config, log_prior)
         probs[blk.queries] = p
         defined[blk.queries] = d
     return probs, defined
 
 
+# -- per-entry terms and the combine ----------------------------------------------------
+
+# How each context entry was used, by the ``used`` codes of _target_terms
+# and _factor_logs: bit 1 marks local evidence, bit 2 global evidence.
+_USED = ("skipped", "local", "global", "blend")
+
+
+def _log_prior(kind, graph, config):
+    if kind in TARGET_KINDS:
+        return None
+    with np.errstate(divide="ignore"):
+        return np.log(_prior_vector(graph, config))
+
+
+def _answer(kind, blk, glob, config, log_prior):
+    """(probs, defined, used, lam) of the block's queries: terms, then the combine.
+
+    Float warnings are silenced: a 0/0 only fills a masked entry or the NaN
+    row of an undefined query, and log(0) = -inf is a factor of zero.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind in TARGET_KINDS:
+            used, term, lam = _target_terms(kind, blk, glob, config)
+            return (*_average(blk, used, term), used, lam)
+        used, log_p, lam = _factor_logs(kind, blk, glob, config)
+        return (*_log_product(blk, log_p, log_prior), used, lam)
+
+
 def _target_terms(kind, blk, glob, config):
-    """Per-entry distributions of the target-link models: (kept entries, their terms)."""
+    """Per-entry distributions of the target-link models.
+
+    Returns (used, term, lam): the ``used`` code and (m, L) term of every
+    entry, all zero where the entry is skipped, and stlgm's blend weight
+    (None for the other kinds). A one-sided stlgm entry has weight 0 or 1,
+    so its blend is its local or global term exactly.
+    """
     if kind == "ltlgm":
         den = blk.num.sum(axis=1)
-        keep = den > 0
-        return keep, blk.num[keep].astype(float) / den[keep, None]
+        has = den > 0
+        return has * 1, blk.num / np.where(has, den, 1)[:, None], None
     gnum, gden, _ = glob
+    gterm = gnum / np.where(gden > 0, gnum.sum(axis=1), 1)[:, None]
     if kind == "gtlgm":
-        keep = gden > 0
-        num = gnum[keep].astype(float)
-        return keep, num / num.sum(axis=1)[:, None]
+        return (gden > 0) * 2, gterm, None
     lden = blk.num.sum(axis=1)
-    keep = (lden > 0) | (gden > 0)
-    num, lden, gnum, gden = blk.num[keep], lden[keep], gnum[keep].astype(float), gden[keep]
-    has_l = lden > 0
-    lterm = num.astype(float) / np.where(has_l, lden, 1)[:, None]
-    gterm = gnum / np.where(gden > 0, gnum.sum(axis=1), 1.0)[:, None]
-    term = np.where(has_l[:, None], lterm, gterm)       # one-sided entries
-    both = has_l & (gden > 0)
+    has_l, has_g = lden > 0, gden > 0
+    lden = np.where(has_l, lden, 1)
+    lterm = blk.num / lden[:, None]
     mu = config.mu
     if config.lambda_mode == "support":
-        lam = (mu / (lden[both] + mu))[:, None]
-        term[both] = (1.0 - lam) * lterm[both] + lam * gterm[both]
+        lam = np.where(has_l, np.where(has_g, mu / (lden + mu), 0.0), 1.0)
+        term = (1.0 - lam)[:, None] * lterm + lam[:, None] * gterm
     else:
-        n_l = blk.mirrored[keep][both].astype(float)
-        lam = mu / (n_l + mu) if mu else np.zeros_like(n_l)
-        blended = (1.0 - lam) * lterm[both] + lam * gterm[both]
-        # The blend's sum is positive: gterm has a positive label and lam > 0
-        # where mu > 0, and with mu = 0 the blend is lterm.
-        term[both] = blended / blended.sum(axis=1)[:, None]
-    return keep, term
+        # mu = 0 is "no smoothing", also where the mirrored count is 0.
+        lam = mu / (blk.mirrored + mu) if mu else np.zeros(lterm.shape)
+        lam = np.where(has_l[:, None], np.where(has_g[:, None], lam, 0.0), 1.0)
+        term = (1.0 - lam) * lterm + lam * gterm
+        # Only a two-sided blend is renormalized. Its sum is positive: gterm
+        # has a positive label and lam > 0 where mu > 0, and with mu = 0 the
+        # blend is lterm.
+        term /= np.where(has_l & has_g, term.sum(axis=1), 1.0)[:, None]
+    return has_l + 2 * has_g, term, lam
 
 
-def _factor_logs(kind, blk, glob, config, L):
-    """Per-entry log factors of the context-generator models: (kept entries, logs)."""
+def _factor_logs(kind, blk, glob, config):
+    """Per-entry log factors of the context-generator models.
+
+    Returns (used, log factor, lam): the ``used`` code and (m, L) log
+    factor of every entry, zero where the factor is skipped, and scgm's
+    (m, L) blend weight (None for the other kinds).
+    """
     alpha, mu = config.lcgm_floor_alpha, config.mu
     if kind in ("lcgm", "gcgm"):
         nums, dens = (blk.num, blk.mirrored) if kind == "lcgm" else (glob[0], glob[2])
         keep = np.all(dens != 0, axis=1) if alpha == 0 else np.ones(dens.shape[0], bool)
-        nums, dens = nums[keep].astype(float), dens[keep].astype(float)
-        with np.errstate(divide="ignore"):
-            return keep, np.log((nums + alpha) / (dens + alpha * L))
-    gnum, _, gdens = glob
-    ldens, gdens = blk.mirrored.astype(float), gdens.astype(float)
-    keep = ~np.any((ldens == 0) & (gdens == 0), axis=1)
-    ldens, gdens = ldens[keep], gdens[keep]
-    lnums, gnums = blk.num[keep].astype(float), gnum[keep].astype(float)
-    p_loc = np.where(ldens > 0, lnums / np.where(ldens > 0, ldens, 1.0), 0.0)
-    p_glob = np.where(gdens > 0, gnums / np.where(gdens > 0, gdens, 1.0), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if config.lambda_mode == "paper":
-            n_prime = blk.num[keep].sum(axis=1)
-            base = mu / (n_prime + mu) if mu else np.zeros(n_prime.size)
-            lam = np.repeat(base[:, None], L, axis=1)
-        else:
-            lam = mu / (ldens + mu)
-        lam = np.where(ldens == 0, 1.0, lam)
-        lam = np.where(gdens == 0, 0.0, lam)
-        return keep, np.log((1.0 - lam) * p_loc + lam * p_glob)
+        logs = np.log((nums + alpha) / (dens + alpha * dens.shape[1]))
+        return keep * (1 if kind == "lcgm" else 2), np.where(keep[:, None], logs, 0.0), None
+    gnums, _, gdens = glob
+    lnums, ldens = blk.num, blk.mirrored
+    has_l, has_g = ldens > 0, gdens > 0
+    keep = np.all(has_l | has_g, axis=1)
+    p_loc = np.where(has_l, lnums / ldens, 0.0)
+    p_glob = np.where(has_g, gnums / gdens, 0.0)
+    if config.lambda_mode == "paper":
+        n_prime = lnums.sum(axis=1)
+        lam = (mu / (n_prime + mu) if mu else np.zeros(n_prime.size))[:, None]
+    else:
+        lam = mu / (ldens + mu)
+    # Labels with no local support go fully global and vice versa; the
+    # symmetric skip guarantees these never overlap on a kept factor.
+    lam = np.where(has_g, np.where(has_l, lam, 1.0), 0.0)
+    logs = np.log((1.0 - lam) * p_loc + lam * p_glob)
+    return keep * 3, np.where(keep[:, None], logs, 0.0), lam
 
 
-def _by_position(position):
-    """Entry indices grouped by context position 0, 1, 2, ..., each group ascending."""
-    if position.size == 0:
-        return []
-    order = np.argsort(position, kind="stable")
-    bounds = np.searchsorted(position[order], np.arange(position[order[-1]] + 2))
-    return [order[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+def _ordered_sum(blk, values, start):
+    """Each query's per-entry ``values`` added one by one, in context order, to ``start``.
+
+    Every value sits at (query, position + 1) of a zero grid whose column 0
+    holds ``start``; the running sum along the positions makes exactly the
+    additions of a loop over the context, and a skipped entry's zero is an
+    exact no-op.
+    """
+    grid = np.zeros((blk.queries.size, int(blk.sizes.max(initial=0)) + 1, values.shape[1]))
+    grid[:, 0] = start
+    grid[blk.row, blk.position + 1] = values
+    return np.add.accumulate(grid, axis=1)[:, -1]
 
 
-def _average(blk, keep, term, L):
-    # Weighted mean over the kept entries, summed in context order as the
-    # scalar target-link models sum it.
-    rows = blk.row[keep]
-    w = 1.0 / blk.sizes[rows]
-    contrib = w[:, None] * term
-    acc = np.zeros((blk.queries.size, L))
-    weight = np.zeros(blk.queries.size)
-    for sel in _by_position(blk.position[keep]):
-        r = rows[sel]
-        acc[r] += contrib[sel]
-        weight[r] += w[sel]
-    defined = weight > 0.0
-    probs = np.full_like(acc, np.nan)
-    probs[defined] = acc[defined] / weight[defined, None]
-    return probs, defined
+def _average(blk, used, term):
+    # Weighted mean of the used entries' terms, each of weight 1 / (context
+    # size); the weights are summed alongside. A query with no used entry
+    # divides 0 by 0 and comes out NaN, undefined.
+    w = ((used > 0) / blk.sizes[blk.row])[:, None]
+    total = _ordered_sum(blk, np.concatenate((w * term, w), axis=1), 0.0)
+    return total[:, :-1] / total[:, -1:], total[:, -1] > 0.0
 
 
-def _log_product(blk, keep, log_p, log_prior):
-    # Prior times the kept factors in log space, in context order, then
-    # normalized as _normalize_log_scores does.
-    rows = blk.row[keep]
-    scores = np.tile(log_prior, (blk.queries.size, 1))
-    for sel in _by_position(blk.position[keep]):
-        scores[rows[sel]] += log_p[sel]
-    m = scores.max(axis=1)
-    defined = m != -np.inf
-    w = np.exp(scores[defined] - m[defined, None])
-    probs = np.full_like(scores, np.nan)
-    probs[defined] = w / w.sum(axis=1)[:, None]
-    return probs, defined
+def _log_product(blk, log_p, log_prior):
+    # Prior times the kept factors in log space, then normalized. All-zero
+    # scores (max -inf) come out NaN, undefined.
+    scores = _ordered_sum(blk, log_p, log_prior)
+    m = scores.max(axis=1, keepdims=True)
+    w = np.exp(scores - m)
+    return w / w.sum(axis=1, keepdims=True), m[:, 0] != -np.inf
+
+
+def _support(kind, blk, glob, used, lam, config) -> list:
+    """``collect_support`` records of one query, from its per-entry arrays.
+
+    Every record has the entry's head, label and use. Target-link records
+    carry the entry's ANY count, context-generator records the per-label
+    denominators of a used factor; the smoothed models add lambda for used
+    entries, a float where it is label-independent.
+    """
+    cols = {"head": blk.heads.tolist(), "label": blk.labels.tolist(),
+            "used": [_USED[u] for u in used.tolist()]}
+    if kind in ("ltlgm", "stlgm"):
+        cols["n_local"] = blk.num.sum(axis=1).tolist()
+    elif kind == "gtlgm":
+        cols["n_global"] = glob[1].tolist()
+    elif kind == "lcgm":
+        cols["n_local"] = blk.mirrored.tolist()
+    elif kind == "gcgm":
+        cols["n_global"] = glob[2].tolist()
+    if kind == "scgm":
+        cols["lambda"] = lam.tolist()
+    elif kind == "stlgm":
+        rows = lam.tolist()
+        cols["lambda"] = rows if lam.ndim == 1 else [
+            row if u == 3 else row[0] for row, u in zip(rows, used.tolist())]
+    drop = ("lambda",) if kind in TARGET_KINDS else ("lambda", "n_local", "n_global")
+    return [{k: v[e] for k, v in cols.items() if u or k not in drop}
+            for e, u in enumerate(used.tolist())]

@@ -152,6 +152,18 @@ def test_predict_verbose_support(capsys, g1_file, tmp_path):
     assert support[0]["n_local"] == 3
 
 
+def test_predict_marks_query_already_in_graph(capsys, g1_file, tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text("i x\ni j\nx i\n")
+    rc, recs = run_lines(capsys, [
+        "predict", "--input", str(g1_file), "--queries", str(q),
+        "--model", "ltlgm"])
+    assert rc == 0
+    assert recs[1]["src"] == "i" and recs[1]["dst"] == "x"
+    assert recs[1]["in_graph"] is True
+    assert "in_graph" not in recs[2] and "in_graph" not in recs[3]
+
+
 def test_predict_precomputed_matches_on_demand(capsys, g1_file, tmp_path):
     q = tmp_path / "q.txt"
     q.write_text("i j\nw1 w2\n")

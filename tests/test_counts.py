@@ -110,15 +110,6 @@ def test_budget_guard(g1):
     assert forced.count(J, 0, X, 0) == 2
 
 
-def test_node_filter_restricts_table(g1):
-    keep = {J, X}
-    pre = build_precomputed_nam(g1, node_filter=lambda u: u in keep)
-    assert all(m in keep and nn in keep for (m, _, nn, _) in pre.table)
-    assert pre.count(J, 0, X, 0) == 2
-    # Filtered-out heads silently answer 0 by contract.
-    assert pre.count(0, 0, X, 0) == 0
-
-
 # -- cluster-level values ---------------------------------------------------------
 
 def test_single_node_mixed_labels():
@@ -333,16 +324,3 @@ def test_batch_with_on_demand_counts_rebinds(g1):
     assert counts.graph is new_g
     assert counts.count(1, 0, 2, 0) == nam_count(new_g, 1, 0, 2, 0)
     assert cc.table == ClusterCounts.from_partition(new_g, part).table
-
-
-def test_batch_respects_node_filter(g1):
-    # A filtered table stays consistent with a filtered rebuild.
-    keep = {1, 2}
-    rng = np.random.default_rng(1)
-    part = Partition.from_random(g1, 2, rng)
-    counts = build_precomputed_nam(g1, node_filter=lambda u: u in keep)
-    cc = ClusterCounts.from_partition(g1, part)
-    ext = g1.external_of
-    new_g, _ = apply_edge_batch(counts, cc, g1, [(ext(0), ext(1), 0), (ext(0), ext(3), 1)])
-    rebuilt = build_precomputed_nam(new_g, node_filter=lambda u: u in keep)
-    assert counts.table == rebuilt.table

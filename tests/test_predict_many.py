@@ -1,10 +1,13 @@
-"""Batched prediction against the scalar ``predict``, compared bit for bit.
+"""``predict`` and ``predict_many`` against the scalar reference, bit for bit.
 
-``predict_many`` must reproduce every probability, every defined flag and
-every ``decide`` outcome of the scalar path exactly (``np.array_equal``, not
-a tolerance), because an exact tie resolved differently changes a decision.
+Both entry points must reproduce every probability, every defined flag and
+every ``decide`` outcome of ``scalar_reference`` exactly (``np.array_equal``,
+not a tolerance), because an exact tie resolved differently changes a
+decision; ``predict``'s ``collect_support`` records must equal the
+reference's.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +24,6 @@ from linklabel import (
     PredictionQuery,
     SignedGraph,
     SmoothingConfig,
-    build_precomputed_nam,
     class_prior,
     cluster,
     decide,
@@ -37,6 +39,7 @@ from linklabel.counts import receiver_blocks
 from linklabel.evaluation import _train_graph_for_fold
 
 from conftest import graph_from, random_graph
+from scalar_reference import predict_reference
 
 CONFIGS = [SmoothingConfig(mu=mu, lambda_mode=mode, lcgm_floor_alpha=alpha)
            for mode in ("support", "paper") for alpha in (0.0, 1.0) for mu in (2.5, 0.0)]
@@ -44,7 +47,10 @@ CONFIGS = [SmoothingConfig(mu=mu, lambda_mode=mode, lcgm_floor_alpha=alpha)
 
 def _assert_same(g, part, initiators, receivers, configs=CONFIGS, kinds=MODEL_KINDS,
                  sample=None):
-    """predict_many on all queries equals predict on each (or on ``sample``)."""
+    """predict_many on all queries, and predict on each, equal the reference.
+
+    With ``sample``, only those queries are compared.
+    """
     counts = CooccurrenceCounts.on_demand(g)
     cc = ClusterCounts.from_partition(g, part)
     prior = class_prior(g)
@@ -56,15 +62,23 @@ def _assert_same(g, part, initiators, receivers, configs=CONFIGS, kinds=MODEL_KI
             labels, fallback = decide_many(probs, defined, prior)
             for q in check:
                 query = PredictionQuery(int(initiators[q]), int(receivers[q]))
-                dist = predict(kind, g, query, counts=counts, cluster_counts=cc,
-                               partition=part, config=cfg)
+                args = dict(counts=counts, cluster_counts=cc, partition=part, config=cfg,
+                            collect_support=True)
+                want = predict_reference(kind, g, query, **args)
+                got = predict(kind, g, query, **args)
                 where = f"{kind} {cfg} query {query}"
-                assert bool(defined[q]) == dist.defined, where
-                if dist.defined:
-                    assert np.array_equal(probs[q], dist.probs), where
+                assert bool(defined[q]) == got.defined == want.defined, where
+                if want.defined:
+                    assert np.array_equal(probs[q], want.probs), where
+                    assert np.array_equal(got.probs, want.probs), where
                 else:
-                    assert np.all(np.isnan(probs[q])), where
-                assert (int(labels[q]), bool(fallback[q])) == decide(dist, prior), where
+                    assert np.all(np.isnan(probs[q])) and got.probs is None, where
+                decision = decide(want, prior)
+                assert (int(labels[q]), bool(fallback[q])) == decision, where
+                assert decide(got, prior) == decision, where
+                # JSON tells ints from floats and spells floats exactly.
+                assert (json.dumps(got.support, sort_keys=True)
+                        == json.dumps(want.support, sort_keys=True)), where
 
 
 def _all_pairs(n):
@@ -213,9 +227,6 @@ def test_predict_many_validates():
     other = graph_from([(0, 1, 0)], n)
     with pytest.raises(ValueError, match="same graph"):
         predict_many("ltlgm", g, [0], [1], counts=CooccurrenceCounts.on_demand(other))
-    filtered = build_precomputed_nam(g, node_filter=lambda u: u < 5)
-    with pytest.raises(ValueError, match="node filter"):
-        predict_many("ltlgm", g, [0], [1], counts=filtered)
     probs, defined = predict_many("ltlgm", g, [], [])
     assert probs.shape == (0, 2) and defined.shape == (0,)
     probs, defined = predict_many("prior", g, [0, 3], [1, 4])
@@ -242,8 +253,9 @@ def test_evaluate_equals_scalar_loop(kind):
             cc = ClusterCounts.from_partition(train, part)
         prior = class_prior(train)
         for e in np.flatnonzero(plan.fold_of_edge == f).tolist():
-            dist = predict(kind, train, PredictionQuery(int(src[e]), int(dst[e])),
-                           counts=counts, cluster_counts=cc, partition=part, config=cfg)
+            dist = predict_reference(kind, train, PredictionQuery(int(src[e]), int(dst[e])),
+                                     counts=counts, cluster_counts=cc, partition=part,
+                                     config=cfg)
             label, fb = decide(dist, prior)
             confusion[lbl[e], label] += 1
             fallbacks += fb

@@ -12,9 +12,8 @@ from .clustering import (ClusterConfig, Partition, boltzmann_pick, cluster,
                          read_partition, write_partition)
 from .counts import (ANY, BatchReport, BudgetExceededError, ClusterCounts,
                      CooccurrenceCounts, apply_edge_batch,
-                     build_precomputed_nam, cam_count, load_cam_snapshot,
-                     load_nam_snapshot, nam_count, projected_pair_cost,
-                     save_cam_snapshot, save_nam_snapshot)
+                     build_precomputed_nam, cam_count, nam_count,
+                     projected_pair_cost, save_cam_snapshot, save_nam_snapshot)
 from .evaluation import (EvalReport, FoldPlan, balanced_accuracy, evaluate,
                          make_folds, param_sample_cdf, sparsity_sweep)
 from .graph import (SIGNED, Context, EdgeListParseError, LabelAlphabet,
@@ -38,10 +37,10 @@ __all__ = [
     "SmoothingConfig", "apply_edge_batch", "balanced_accuracy",
     "boltzmann_pick", "build_precomputed_nam", "cam_count", "class_prior",
     "cluster", "context_of", "decide", "decide_many", "delta_objective", "evaluate",
-    "generate_planted", "gibbs_sweep", "graph_stats", "load_cam_snapshot",
-    "load_edge_list", "load_nam_snapshot", "make_folds", "nam_count",
-    "objective", "param_sample_cdf", "predict", "predict_gcgm",
-    "predict_gtlgm", "predict_lcgm", "predict_ltlgm", "predict_many", "predict_scgm",
+    "generate_planted", "gibbs_sweep", "graph_stats", "load_edge_list",
+    "make_folds", "nam_count", "objective", "param_sample_cdf", "predict",
+    "predict_gcgm", "predict_gtlgm", "predict_lcgm", "predict_ltlgm",
+    "predict_many", "predict_scgm",
     "predict_stlgm", "projected_pair_cost", "read_partition",
     "save_cam_snapshot", "save_nam_snapshot", "sparsify", "sparsity_sweep",
     "write_edge_list", "write_partition",

@@ -178,15 +178,9 @@ def _cmd_predict(args):
     graph, _ = _load(args)
     queries = _read_queries(args.queries, graph)
     mcfg = _smoothing_config(args)
-    counts = None
-    if kind in LOCAL_KINDS:
-        if args.nam_strategy == "precomputed":
-            counts = build_precomputed_nam(graph, budget=args.nam_budget,
-                                           override=args.nam_override)
-        else:
-            counts = CooccurrenceCounts.on_demand(graph)
+    counts = CooccurrenceCounts.on_demand(graph) if kind in LOCAL_KINDS else None
     partition = cluster_counts = None
-    config_echo = {"model": kind, **asdict(mcfg), "nam_strategy": args.nam_strategy}
+    config_echo = {"model": kind, **asdict(mcfg)}
     if kind in CLUSTER_KINDS:
         partition = _partition_for(args, graph)
         cluster_counts = ClusterCounts.from_partition(graph, partition)
@@ -391,12 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_opts.add_argument("--partition-file", default=None,
                               help="reuse this partition instead of clustering")
 
-    nam_opts = argparse.ArgumentParser(add_help=False)
-    nam_opts.add_argument("--nam-budget", type=int, default=2_000_000,
-                          help="ordered-pair budget for precomputed count tables")
-    nam_opts.add_argument("--nam-override", action="store_true",
-                          help="build past the pair budget anyway")
-
     p = sub.add_parser("stats", parents=[common], formatter_class=fmt,
                        help="dataset summary, raw and normalized")
     p.set_defaults(func=_cmd_stats)
@@ -410,12 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition-out", default=None, help="write node/cluster pairs here")
     p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("predict", parents=[common, model_opts, cluster_opts, nam_opts],
+    p = sub.add_parser("predict", parents=[common, model_opts, cluster_opts],
                        formatter_class=fmt, help="label a file of src/dst queries")
     p.add_argument("--queries", required=True, help="file of 'src dst' lines")
     p.add_argument("--model", required=True, help="|".join(MODEL_KINDS))
-    p.add_argument("--nam-strategy", choices=("on_demand", "precomputed"),
-                   default="on_demand", help="node-level count strategy")
     p.add_argument("--verbose", action="store_true",
                    help="attach per-context-entry diagnostics to each record")
     p.set_defaults(func=_cmd_predict)
@@ -450,16 +436,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10, help="number of folds")
     p.set_defaults(func=_cmd_samples_cdf)
 
-    p = sub.add_parser("update", parents=[common, cluster_opts, nam_opts],
+    p = sub.add_parser("update", parents=[common, cluster_opts],
                        formatter_class=fmt,
                        help="fold an edge batch into precomputed structures")
+    p.add_argument("--nam-budget", type=int, default=2_000_000,
+                   help="ordered-pair budget for the precomputed count table")
+    p.add_argument("--nam-override", action="store_true",
+                   help="build past the pair budget anyway")
     p.add_argument("--batch", required=True, help="edge list of new edges")
     p.add_argument("--no-intern", action="store_true",
                    help="reject batch edges that mention unknown node ids")
     p.add_argument("--out-edges", default=None, help="write the merged edge list here")
     p.add_argument("--out-partition", default=None, help="write the extended partition here")
-    p.add_argument("--out-nam", default=None, help="write the node-level count snapshot here")
-    p.add_argument("--out-cam", default=None, help="write the cluster-level count snapshot here")
+    p.add_argument("--out-nam", default=None,
+                   help="export the node-level count table here (nothing reads it back)")
+    p.add_argument("--out-cam", default=None,
+                   help="export the cluster-level count table here (nothing reads it back)")
     p.set_defaults(func=_cmd_update)
 
     return parser

@@ -91,10 +91,6 @@ class Partition:
         """phi in bits, recomputed exactly from the count table (stable order)."""
         return math.fsum(_pair_entropy_weight(self._counts[k]) for k in sorted(self._counts))
 
-    def pair_counts(self) -> dict:
-        """Copy of the (c, d) -> per-label count table (nonzero pairs only)."""
-        return {k: list(v) for k, v in self._counts.items()}
-
     # -- incremental count maintenance ---------------------------------------
 
     def add_edge_count(self, c: int, d: int, label: int, delta: int) -> None:
@@ -164,17 +160,7 @@ class Partition:
         for (ct, l), c in in_g.items():
             bump((ct, a), l, -c)
             bump((ct, b), l, +c)
-        total = 0.0
-        for key, dv in eff.items():
-            vec = self._counts.get(key)
-            if vec is None:
-                new = dv
-                old_g = 0.0
-            else:
-                new = [x + y for x, y in zip(vec, dv)]
-                old_g = self._contrib[key]
-            total += _pair_entropy_weight(new) - old_g
-        return total
+        return self.delta_add_counts(eff)
 
     def candidate_deltas(self, node: int) -> np.ndarray:
         """Objective delta of moving ``node`` to each cluster (0 for its own)."""

@@ -3,8 +3,10 @@
 Two count families are provided:
 
 * node-level: how many nodes point at both of two given nodes with given
-  labels (intersection sizes of in-neighborhood tail sets), served either
-  on demand from the graph or from a precomputed sparse table;
+  labels (intersection sizes of in-neighborhood tail sets), served on
+  demand from the graph's one in-adjacency index (split by label), or from
+  a precomputed sparse table, which ``apply_edge_batch`` keeps current
+  under an edge stream and which can be exported as a snapshot;
 * cluster-level: given a partition, how many nodes of one cluster have at
   least one edge into each of two given clusters with given labels.
 
@@ -432,7 +434,8 @@ CAM_SNAPSHOT_HEADER = "cam-snapshot v1"
 def save_nam_snapshot(counts: CooccurrenceCounts, path) -> None:
     """Write a precomputed node-level table as versioned text, sorted keys.
 
-    Plain integers only, so files are identical across platforms.
+    Plain integers only, so files are identical across platforms. The file
+    is an export: nothing reads it back.
     """
     if counts.strategy != "precomputed":
         raise ValueError("only precomputed count tables can be snapshotted")
@@ -444,34 +447,8 @@ def save_nam_snapshot(counts: CooccurrenceCounts, path) -> None:
             fh.write(f"{m} {l} {n} {lp} {c}\n")
 
 
-def load_nam_snapshot(path, graph: SignedGraph) -> CooccurrenceCounts:
-    """Reload a node-level snapshot against the graph it was built from."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != NAM_SNAPSHOT_HEADER:
-            raise ValueError(f"{path}: not a nam-snapshot v1 file (header {header!r})")
-        meta = fh.readline().split()
-        if len(meta) != 4 or meta[0] != "nodes" or meta[2] != "labels":
-            raise ValueError(f"{path}: malformed snapshot metadata line")
-        n, L = int(meta[1]), int(meta[3])
-        if n != graph.node_count or L != graph.alphabet.size:
-            raise ValueError(
-                f"{path}: snapshot is for {n} nodes / {L} labels, graph has "
-                f"{graph.node_count} / {graph.alphabet.size}")
-        table = {}
-        for lineno, line in enumerate(fh, start=3):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields")
-            m, l, nn, lp, c = (int(p) for p in parts)
-            table[(m, l, nn, lp)] = c
-    return CooccurrenceCounts(graph, "precomputed", table=table)
-
-
 def save_cam_snapshot(cluster_counts: ClusterCounts, path) -> None:
-    """Write a cluster-level table as versioned text, sorted keys."""
+    """Write a cluster-level table as versioned text, sorted keys (an export)."""
     part = cluster_counts.partition
     g = cluster_counts.graph
     with open(path, "w", encoding="utf-8") as fh:
@@ -479,32 +456,6 @@ def save_cam_snapshot(cluster_counts: ClusterCounts, path) -> None:
         fh.write(f"clusters {part.K} labels {g.alphabet.size}\n")
         for (s, m, l, n, lp), c in sorted(cluster_counts.table.items()):
             fh.write(f"{s} {m} {l} {n} {lp} {c}\n")
-
-
-def load_cam_snapshot(path, graph: SignedGraph, partition) -> ClusterCounts:
-    """Reload a cluster-level snapshot against its graph and partition."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CAM_SNAPSHOT_HEADER:
-            raise ValueError(f"{path}: not a cam-snapshot v1 file (header {header!r})")
-        meta = fh.readline().split()
-        if len(meta) != 4 or meta[0] != "clusters" or meta[2] != "labels":
-            raise ValueError(f"{path}: malformed snapshot metadata line")
-        k, L = int(meta[1]), int(meta[3])
-        if k != partition.K or L != graph.alphabet.size:
-            raise ValueError(
-                f"{path}: snapshot is for {k} clusters / {L} labels, got "
-                f"{partition.K} / {graph.alphabet.size}")
-        table = {}
-        for lineno, line in enumerate(fh, start=3):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields")
-            s, m, l, n, lp, c = (int(p) for p in parts)
-            table[(s, m, l, n, lp)] = c
-    return ClusterCounts(graph, partition, table=table)
 
 
 # -- streaming updates ---------------------------------------------------------
@@ -537,7 +488,8 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
 
     The caller must hold exclusive access: ``counts``, ``cluster_counts``
     and its partition are mutated in place and rebound to the returned
-    graph.
+    graph. All three must be bound to ``graph``; otherwise the call raises
+    ValueError before anything is changed.
 
     Args:
         counts: node-level counts; a precomputed table is updated in place,
@@ -553,6 +505,9 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
         (new_graph, BatchReport)
     """
     partition = cluster_counts.partition
+    if not (counts.graph is graph and cluster_counts.graph is graph
+            and partition.graph is graph):
+        raise ValueError("counts, cluster counts and partition must be bound to graph")
     alphabet = graph.alphabet
     L = alphabet.size
     report = BatchReport()
@@ -655,7 +610,7 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     if report.new_nodes:
         partition.extend(report.new_nodes)
         incident: dict = {w: [] for w in range(n_old, n_new)}
-        for (u, v), label in edge_map.items():
+        for u, v, _, label in changes:     # a new node's pairs are all added
             if u >= n_old:
                 incident[u].append((u, v, label))
             if v >= n_old:

@@ -106,10 +106,11 @@ class LoadReport:
 class SignedGraph:
     """Immutable directed graph with labeled edges.
 
-    Stores edges once, sorted by ``(src, dst)``, and derives CSR-style views:
-    out-adjacency per node, and in-adjacency per node both pooled and split
-    by label (each in-list strictly sorted by tail id).  Safe for concurrent
-    readers; never mutated after construction.
+    Stores edges once, sorted by ``(src, dst)``, and derives two CSR-style
+    views: out-adjacency per node, and one in-adjacency index split by label
+    (each in-list strictly sorted by tail id).  A node's pooled in-list is
+    read from its L contiguous label slices.  Safe for concurrent readers;
+    never mutated after construction.
     """
 
     def __init__(self, node_count, src, dst, lbl, alphabet, external_ids):
@@ -130,15 +131,10 @@ class SignedGraph:
         n, L = self.node_count, alphabet.size
         self._out_ptr = np.searchsorted(self._src, np.arange(n + 1))
 
-        # In-adjacency pooled over labels, sorted by (dst, src).
-        order1 = np.lexsort((self._src, self._dst))
-        self._in_src = self._src[order1]
-        self._in_ptr = np.searchsorted(self._dst[order1], np.arange(n + 1))
-
         # In-adjacency split by label, sorted by (dst, label, src).
-        order2 = np.lexsort((self._src, self._lbl, self._dst))
-        self._inl_src = self._src[order2]
-        key = self._dst[order2] * L + self._lbl[order2]
+        order = np.lexsort((self._src, self._lbl, self._dst))
+        self._inl_src = self._src[order]
+        key = self._dst[order] * L + self._lbl[order]
         self._inl_ptr = np.searchsorted(key, np.arange(n * L + 1))
 
         self._tail_set_cache: dict = {}
@@ -199,9 +195,10 @@ class SignedGraph:
 
     def in_tails(self, u: int, label: Optional[int] = None) -> np.ndarray:
         """Sorted array of tails pointing at ``u`` (with ``label`` if given)."""
-        if label is None:
-            return self._in_src[self._in_ptr[u]:self._in_ptr[u + 1]]
         L = self.alphabet.size
+        if label is None:
+            # u's L label slices are contiguous; together they hold its tails.
+            return np.sort(self._inl_src[self._inl_ptr[u * L]:self._inl_ptr[(u + 1) * L]])
         k = u * L + label
         return self._inl_src[self._inl_ptr[k]:self._inl_ptr[k + 1]]
 

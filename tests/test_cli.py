@@ -164,14 +164,14 @@ def test_predict_marks_query_already_in_graph(capsys, g1_file, tmp_path):
     assert "in_graph" not in recs[2] and "in_graph" not in recs[3]
 
 
-def test_predict_precomputed_matches_on_demand(capsys, g1_file, tmp_path):
+def test_predict_has_no_count_strategy_flag(capsys, g1_file, tmp_path):
     q = tmp_path / "q.txt"
-    q.write_text("i j\nw1 w2\n")
-    base = ["predict", "--input", str(g1_file), "--queries", str(q),
-            "--model", "lcgm"]
-    _, on_demand = run_lines(capsys, base)
-    _, pre = run_lines(capsys, base + ["--nam-strategy", "precomputed"])
-    assert on_demand[1:] == pre[1:]
+    q.write_text("i j\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--input", str(g1_file), "--queries", str(q),
+              "--model", "lcgm", "--nam-strategy", "precomputed"])
+    assert exc.value.code == 2
+    assert "--nam-strategy" in capsys.readouterr().err
 
 
 def test_predict_rejects_unknown_query_node(capsys, g1_file, tmp_path):

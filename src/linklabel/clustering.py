@@ -10,9 +10,16 @@ Minimization runs as a Gibbs-style random walk over assignments: each sweep
 visits nodes (fixed order or sampled with replacement), evaluates the exact
 objective delta of moving the node to every cluster, and either takes the
 argmin (greedy mode, ties to the lowest cluster id) or samples a cluster with
-probability proportional to exp(-delta / temperature). Deltas touch only the
-count entries incident to the node, so a sweep costs O(E * K) count updates
-rather than full recomputes.
+probability proportional to exp(-delta / temperature).
+
+The state is dense: (K, K, L) pair label counts and (K, K) cached pair
+weights. Moving a node from cluster a to b changes only rows and columns a
+and b (the block-move bookkeeping of Peixoto, PRE 89, 012804, 2014), so a
+visit bins the node's edges by cluster and label (two bincounts over its CSR
+slices) and scores all K candidates in one numpy pass over K * 2(X + Y)
+cells, X and Y being its numbers of distinct head and tail clusters. Deltas
+are summed pair by pair in a fixed order from ``math.log2`` values: the
+floats of a pair-by-pair scalar loop.
 """
 
 from __future__ import annotations
@@ -26,27 +33,40 @@ import numpy as np
 from .graph import SignedGraph
 
 
-def _pair_entropy_weight(cnt) -> float:
-    # tot*log2(tot) - sum c*log2(c): the pair's weighted entropy contribution.
-    tot = 0
-    for c in cnt:
-        tot += c
-    if tot == 0:
-        return 0.0
-    s = tot * math.log2(tot)
-    for c in cnt:
-        if c:
-            s -= c * math.log2(c)
-    return s
+#: x*log2(x) for x = 0, 1, 2, ...: one table for the whole process, filled
+#: with math.log2 (np.log2 may differ in the last ulp) and grown geometrically.
+_XLOG2X = np.zeros(1)
+
+
+def _xlog2x(n: int) -> np.ndarray:
+    """The x*log2(x) table, grown to cover 0..n."""
+    global _XLOG2X
+    if n >= _XLOG2X.size:
+        size = max(n + 1, 2 * _XLOG2X.size, 1024)
+        _XLOG2X = np.array([0.0] + [c * math.log2(c) for c in range(1, size)])
+    return _XLOG2X
+
+
+def _pair_weights(counts, table: np.ndarray) -> np.ndarray:
+    """tot*log2(tot) - sum c*log2(c) over per-label counts ``counts[l]``.
+
+    ``table`` is an ``_xlog2x`` table covering the totals. Labels are taken
+    left to right, so each value is the float of a scalar loop; 0.0 if empty.
+    """
+    w = table[sum(counts[1:], counts[0])]
+    for c in counts:
+        w = w - table[c]
+    return w
 
 
 class Partition:
     """Node-to-cluster assignment plus the edge-label counts of every cluster pair.
 
-    Maintains, incrementally under moves and streaming commits, the table
-    (c, d) -> per-label edge counts together with each pair's cached
-    objective contribution. Counts always equal a full recount from the
-    assignment (``verify_counts`` checks this).
+    ``pair_counts[c, d, l]`` counts the edges labeled l from cluster c to
+    cluster d, and ``pair_weights[c, d]`` caches that pair's objective term
+    (both read-only to callers). They are kept current under moves and
+    streaming commits and always equal a full recount from the assignment
+    (``verify_counts`` checks this).
 
     Cluster ids of not-yet-assigned nodes (streaming) are -1 and excluded
     from all counts until ``assign_new`` places them.
@@ -62,20 +82,19 @@ class Partition:
             raise ValueError("assignment length does not match node count")
         if self.assignment.size and (self.assignment.max() >= K or self.assignment.min() < 0):
             raise ValueError("cluster id out of range")
-        self._L = graph.alphabet.size
+        L = self._L = graph.alphabet.size
         self.sizes = np.bincount(self.assignment, minlength=K).astype(np.int64)
-        self._counts: dict = {}
-        self._contrib: dict = {}
         src, dst, lbl = graph.edge_arrays
         asg = self.assignment
-        for s, d, l in zip(asg[src].tolist(), asg[dst].tolist(), lbl.tolist()):
-            vec = self._counts.get((s, d))
-            if vec is None:
-                vec = [0] * self._L
-                self._counts[(s, d)] = vec
-            vec[l] += 1
-        for k, vec in self._counts.items():
-            self._contrib[k] = _pair_entropy_weight(vec)
+        cells = (asg[src] * K + asg[dst]) * L + lbl
+        self.pair_counts = np.bincount(cells, minlength=K * K * L).reshape(K, K, L)
+        # Counted edges: a bound on every count a move can produce.
+        self._edges = graph.edge_count
+        self.pair_weights = _pair_weights(self.pair_counts.transpose(2, 0, 1),
+                                          _xlog2x(self._edges))
+        self._rows = np.arange(K)[:, None]
+        self._labels = np.arange(L)[:, None, None]
+        self._csr_graph = None
 
     @classmethod
     def from_assignment(cls, graph: SignedGraph, assignment, K: int) -> "Partition":
@@ -88,107 +107,117 @@ class Partition:
     # -- objective ----------------------------------------------------------
 
     def objective(self) -> float:
-        """phi in bits, recomputed exactly from the count table (stable order)."""
-        return math.fsum(_pair_entropy_weight(self._counts[k]) for k in sorted(self._counts))
+        """phi in bits: the exactly rounded sum of the cached pair weights."""
+        return math.fsum(self.pair_weights.ravel().tolist())
 
     # -- incremental count maintenance ---------------------------------------
 
     def add_edge_count(self, c: int, d: int, label: int, delta: int) -> None:
-        """Shift one (cluster pair, label) count; used by moves and streaming."""
-        key = (c, d)
-        vec = self._counts.get(key)
-        if vec is None:
-            vec = [0] * self._L
-            self._counts[key] = vec
-        vec[label] += delta
-        if vec[label] < 0:
-            raise ValueError(f"pair count for {key} label {label} went negative")
-        if any(vec):
-            self._contrib[key] = _pair_entropy_weight(vec)
-        else:
-            del self._counts[key]
-            self._contrib.pop(key, None)
+        """Shift one (cluster pair, label) count; all or nothing on a bad shift."""
+        if not (0 <= c < self.K and 0 <= d < self.K and 0 <= label < self._L):
+            raise ValueError(f"pair {(c, d)} label {label} out of range")
+        if self.pair_counts[c, d, label] + delta < 0:
+            raise ValueError(f"pair count for {(c, d)} label {label} went negative")
+        self.pair_counts[c, d, label] += delta
+        self._edges += delta
+        self.pair_weights[c, d] = _pair_weights(self.pair_counts[c, d], _xlog2x(self._edges))
 
-    def delta_add_counts(self, groups: dict) -> float:
-        """Objective change of adding ``groups`` ((c,d) -> per-label additions)
-        to the current table, without mutating anything."""
-        total = 0.0
-        for key, add in groups.items():
-            vec = self._counts.get(key)
-            if vec is None:
-                new = add
-                old_g = 0.0
-            else:
-                new = [a + b for a, b in zip(vec, add)]
-                old_g = self._contrib[key]
-            total += _pair_entropy_weight(new) - old_g
-        return total
+    def _ordered_deltas(self, cell, change, skip, added: int = 0) -> np.ndarray:
+        """Per candidate (grid row), the objective change of shifting the
+        counts of flat pairs ``cell`` (c * K + d) by ``change`` (label axis
+        first; ``added`` new edges): pair terms summed in slot order from
+        0.0, ``skip`` slots adding nothing."""
+        new = self.pair_counts.reshape(-1).take(cell * self._L + self._labels) + change
+        grid = np.zeros((self.K, cell.shape[1] + 1))
+        grid[:, 1:] = np.where(skip, 0.0, _pair_weights(new, _xlog2x(self._edges + added))
+                               - self.pair_weights.reshape(-1).take(cell))
+        return np.add.accumulate(grid, axis=1)[:, -1]
 
     # -- node moves ----------------------------------------------------------
 
-    def _gather(self, node: int):
-        """Group the node's incident edges by (other endpoint's cluster, label)."""
-        g = self.graph
-        asg = self.assignment
-        out_g: dict = {}
-        heads, labels = g.out_arrays(node)
-        for h, l in zip(asg[heads].tolist(), labels.tolist()):
-            out_g[(h, l)] = out_g.get((h, l), 0) + 1
-        in_g: dict = {}
-        for l in range(self._L):
-            for t in asg[g.in_tails(node, l)].tolist():
-                in_g[(t, l)] = in_g.get((t, l), 0) + 1
-        return out_g, in_g
-
-    def _delta_for(self, a: int, b: int, out_g: dict, in_g: dict) -> float:
-        # Exact phi change of moving a node from cluster a to b, from the
-        # merged per-pair count deltas of its incident edges.
-        if a == b:
-            return 0.0
-        eff: dict = {}
-
-        def bump(key, l, dc):
-            vec = eff.get(key)
-            if vec is None:
-                vec = [0] * self._L
-                eff[key] = vec
-            vec[l] += dc
-
-        for (ch, l), c in out_g.items():
-            bump((a, ch), l, -c)
-            bump((b, ch), l, +c)
-        for (ct, l), c in in_g.items():
-            bump((ct, a), l, -c)
-            bump((ct, b), l, +c)
-        return self.delta_add_counts(eff)
+    def _incident(self, node: int):
+        """Clusters of the node's heads and of its tails (label-major), and
+        the (L, K) counts of its out- and in-edges by label and cluster of
+        the other end."""
+        g, K, L = self.graph, self.K, self._L
+        if self._csr_graph is not g:
+            out_ptr, heads, labels, in_ptr, tails = g.csr()
+            in_labels = np.repeat(np.arange(in_ptr.size - 1) % L, np.diff(in_ptr))
+            self._csr = (out_ptr, heads, labels, in_ptr, tails, in_labels)
+            self._csr_graph = g
+        out_ptr, heads, labels, in_ptr, tails, in_labels = self._csr
+        o = slice(out_ptr[node], out_ptr[node + 1])
+        i = slice(in_ptr[node * L], in_ptr[node * L + L])
+        hc, tc = self.assignment[heads[o]], self.assignment[tails[i]]
+        out_n = np.bincount(labels[o] * K + hc, minlength=L * K).reshape(L, K)
+        in_n = np.bincount(in_labels[i] * K + tc, minlength=L * K).reshape(L, K)
+        return hc, tc, out_n, in_n
 
     def candidate_deltas(self, node: int) -> np.ndarray:
-        """Objective delta of moving ``node`` to each cluster (0 for its own)."""
+        """Objective delta of moving ``node`` to each cluster (0 for its own).
+
+        For candidate b the slots are the pairs (a, x), (b, x) per head
+        cluster x, then (y, a), (y, b) per tail cluster y (a being the node's
+        cluster): a pair counts once, at its first slot, in slot order.
+        """
+        K, ks = self.K, self._rows
         a = int(self.assignment[node])
-        out_g, in_g = self._gather(node)
-        deltas = np.zeros(self.K)
-        if not out_g and not in_g:
-            return deltas
-        for b in range(self.K):
-            if b != a:
-                deltas[b] = self._delta_for(a, b, out_g, in_g)
+        hc, tc, out_n, in_n = self._incident(node)
+        # Distinct head and tail clusters in order of first appearance.
+        xs, ys = (list(dict.fromkeys(c.tolist())) for c in (hc, tc))
+        nx2 = 2 * len(xs)
+        # The slots' rows and columns; -1 stands for the grid row's candidate.
+        row_of = np.array([a, -1] * len(xs) + [y for y in ys for _ in "ab"], dtype=np.int64)
+        col_of = np.array([x for x in xs for _ in "ab"] + [a, -1] * len(ys), dtype=np.int64)
+        rows = np.where(row_of < 0, ks, row_of)
+        cols = np.where(col_of < 0, ks, col_of)
+        # Pair (r, c) gains the node's out-edges into c if r is the candidate
+        # and loses them if r is a; likewise its in-edges from r by column.
+        row_sign = (rows == ks).astype(np.int64) - (rows == a)
+        col_sign = (cols == ks).astype(np.int64) - (cols == a)
+        by_label = self._labels * K      # flat (label, cluster) index offsets
+        change = (row_sign * out_n.take(cols + by_label)
+                  + col_sign * in_n.take(rows + by_label))
+        # An in-slot whose pair already sits among the out-slots adds nothing.
+        skip = ((np.arange(row_of.size) >= nx2) & ((rows == a) | (rows == ks))
+                & out_n.any(axis=0).take(cols))
+        deltas = self._ordered_deltas(rows * K + cols, change, skip)
+        deltas[a] = 0.0
         return deltas
 
+    def placement_deltas(self, node: int, edges) -> np.ndarray:
+        """Objective change of placing unassigned ``node`` on each cluster.
+
+        ``edges`` are its not yet counted ``(u, v, label)`` edges to assigned
+        nodes; a pair counts once, in the order of its first edge. Nothing is
+        mutated.
+        """
+        K, ks = self.K, self._rows
+        u, v, lab = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
+        cell = (np.where(u == node, ks, self.assignment[u]) * K
+                + np.where(v == node, ks, self.assignment[v]))
+        same = cell[:, :, None] == cell[:, None, :]
+        # (L, K, S): per label, how many of the edges share each slot's pair.
+        change = (same & (lab == self._labels[..., None])).sum(axis=-1)
+        return self._ordered_deltas(cell, change, np.tril(same, -1).any(axis=2), lab.size)
+
     def apply_move(self, node: int, to_cluster: int) -> None:
-        """Move a node, updating counts, contributions and sizes incrementally."""
+        """Move a node, updating counts, weights and sizes incrementally."""
         a = int(self.assignment[node])
         b = int(to_cluster)
         if b == a:
             return
         if not (0 <= b < self.K):
             raise ValueError("target cluster out of range")
-        out_g, in_g = self._gather(node)
-        for (ch, l), c in out_g.items():
-            self.add_edge_count(a, ch, l, -c)
-            self.add_edge_count(b, ch, l, +c)
-        for (ct, l), c in in_g.items():
-            self.add_edge_count(ct, a, l, -c)
-            self.add_edge_count(ct, b, l, +c)
+        _, _, out_n, in_n = self._incident(node)
+        n, w = self.pair_counts, self.pair_weights
+        n[a] -= out_n.T
+        n[b] += out_n.T
+        n[:, a] -= in_n.T
+        n[:, b] += in_n.T
+        ab, table = [a, b], _xlog2x(self._edges)
+        w[ab] = _pair_weights(n[ab].transpose(2, 0, 1), table)
+        w[:, ab] = _pair_weights(n[:, ab].transpose(2, 0, 1), table)
         self.assignment[node] = b
         self.sizes[a] -= 1
         self.sizes[b] += 1
@@ -222,10 +251,9 @@ class Partition:
         if np.any(self.assignment < 0):
             raise AssertionError("verify_counts on a partition with unassigned nodes")
         fresh = Partition(self.graph, self.assignment, self.K)
-        if fresh._counts != self._counts:
-            raise AssertionError("incremental pair counts diverged from a full recount")
-        if not np.array_equal(fresh.sizes, self.sizes):
-            raise AssertionError("cluster sizes diverged from a full recount")
+        for name in ("pair_counts", "pair_weights", "sizes"):
+            if not np.array_equal(getattr(fresh, name), getattr(self, name)):
+                raise AssertionError(f"incremental {name} diverged from a full recount")
 
 
 @dataclass
@@ -270,14 +298,10 @@ def objective(partition: Partition) -> float:
 
 
 def delta_objective(partition: Partition, node: int, to_cluster: int) -> float:
-    """phi(after moving node) - phi(before), side-effect-free, O(degree) count touches."""
+    """phi(after moving node) - phi(before), side-effect-free: ``candidate_deltas``' entry."""
     if not (0 <= to_cluster < partition.K):
         raise ValueError("target cluster out of range")
-    a = int(partition.assignment[node])
-    if to_cluster == a:
-        return 0.0
-    out_g, in_g = partition._gather(node)
-    return partition._delta_for(a, int(to_cluster), out_g, in_g)
+    return float(partition.candidate_deltas(node)[to_cluster])
 
 
 def boltzmann_pick(deltas: np.ndarray, temperature: float, rng) -> int:

@@ -56,8 +56,8 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
         super().__init__(
             f"precomputed count table needs {projected_cost} ordered edge pairs, "
-            f"budget is {budget}; pass override=True to force, or use the "
-            f"on_demand strategy")
+            f"budget is {budget}; raise it (--nam-budget) or force the build "
+            f"(override=True, or --nam-override)")
 
 
 def nam_count(graph: SignedGraph, m: int, l: int, n: int, lp: int) -> int:
@@ -115,11 +115,6 @@ class CooccurrenceCounts:
     @classmethod
     def on_demand(cls, graph: SignedGraph) -> "CooccurrenceCounts":
         return cls(graph, "on_demand")
-
-    @classmethod
-    def precomputed(cls, graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
-                    override: bool = False):
-        return build_precomputed_nam(graph, budget=budget, override=override)
 
     def count(self, m: int, l: int, n: int, lp: int) -> int:
         """Exact count for (m, l, n, lp); absent precomputed keys are 0."""
@@ -617,32 +612,13 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
                 incident[v].append((u, v, label))
         assignment = partition.assignment
         for w in range(n_old, n_new):
-            ready = []
-            for u, v, label in incident[w]:
-                other = v if u == w else u
-                if other == w or assignment[other] >= 0:
-                    ready.append((u, v, label))
-            if not ready:
-                best = partition.largest_cluster()
-            else:
-                deltas = np.empty(partition.K)
-                for c in range(partition.K):
-                    groups: dict = {}
-                    for u, v, label in ready:
-                        cu = c if u == w else int(assignment[u])
-                        cv = c if v == w else int(assignment[v])
-                        vec = groups.get((cu, cv))
-                        if vec is None:
-                            vec = [0] * L
-                            groups[(cu, cv)] = vec
-                        vec[label] += 1
-                    deltas[c] = partition.delta_add_counts(groups)
-                best = int(np.argmin(deltas))
+            ready = [(u, v, label) for u, v, label in incident[w]
+                     if assignment[v if u == w else u] >= 0]
+            best = (int(np.argmin(partition.placement_deltas(w, ready))) if ready
+                    else partition.largest_cluster())
             partition.assign_new(w, best)
-            for u, v, label in ready:
-                cu = best if u == w else int(assignment[u])
-                cv = best if v == w else int(assignment[v])
-                partition.add_edge_count(cu, cv, label, +1)
+            for u, v, label in ready:       # w's own cluster is now best
+                partition.add_edge_count(int(assignment[u]), int(assignment[v]), label, +1)
 
     # Phase 4: cluster-level table, per changed tail: subtract its old
     # incidence pairs, add the new ones under the final assignment.

@@ -324,6 +324,16 @@ def test_update_rejects_bad_batch_line(capsys, g1_file, tmp_path):
                  "--clusters", "2"]) == 1
 
 
+def test_update_budget_error_names_the_cli_flags(capsys, planted_file, tmp_path):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("0 1 +\n")
+    assert main(["update", "--input", str(planted_file), "--batch", str(batch),
+                 "--clusters", "3", "--nam-budget", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "budget is 10" in err and "--nam-override" in err
+    assert "on_demand" not in err
+
+
 # -- config file, exit codes, help ----------------------------------------------------
 
 def test_config_file_supplies_defaults(capsys, planted_file, tmp_path):

@@ -101,7 +101,7 @@ def test_projected_cost_is_sum_of_squared_out_degrees(g1):
 
 
 def test_budget_guard(g1):
-    with pytest.raises(BudgetExceededError, match="on_demand") as exc:
+    with pytest.raises(BudgetExceededError, match="--nam-override") as exc:
         build_precomputed_nam(g1, budget=12)
     assert exc.value.projected_cost == 13 and exc.value.budget == 12
     forced = build_precomputed_nam(g1, budget=12, override=True)

@@ -1,0 +1,168 @@
+"""The dense partition state gives the dict-based state's floats bit for bit.
+
+``tests/dict_partition.py`` keeps the per-pair dict implementation the dense
+``Partition`` replaced. Move deltas, objectives, new-node placements, whole
+clustering runs and streamed batches must agree with it exactly: a delta one
+ulp off can flip an argmin and change every partition downstream.
+"""
+
+import numpy as np
+import pytest
+
+import linklabel.clustering as clustering
+from linklabel import (ClusterConfig, ClusterCounts, Partition, apply_edge_batch,
+                       build_precomputed_nam, cluster, delta_objective, generate_planted)
+
+from conftest import graph_from, random_edge_list
+from dict_partition import DictPartition, pair_entropy_weight
+
+
+def _criterion_7_graphs():
+    rng = np.random.default_rng(7)
+    for n, L in ((30, 2), (45, 3), (60, 2)):
+        yield graph_from(random_edge_list(rng, n, L, edge_prob=0.12), n, L)
+
+
+def _walk_graphs():
+    for g in _criterion_7_graphs():
+        yield g, 4, 400
+    yield generate_planted(300, 5, 0.25, 0.1, seed=0)[0], 5, 300
+    yield generate_planted(240, 10, 0.12, 0.1, seed=1)[0], 30, 120
+
+
+def _assert_same_state(dense, ref):
+    assert np.array_equal(dense.pair_counts, ref.dense_counts())
+    assert np.array_equal(dense.assignment, ref.assignment)
+    assert np.array_equal(dense.sizes, ref.sizes)
+    assert dense.objective() == ref.objective()
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_walk_matches_dict_partition(case):
+    g, K, steps = list(_walk_graphs())[case]
+    rng = np.random.default_rng(100 + case)
+    asg = rng.integers(0, K, size=g.node_count)
+    dense, ref = Partition(g, asg, K), DictPartition(g, asg, K)
+    for step in range(steps):
+        v = int(rng.integers(g.node_count))
+        got, want = dense.candidate_deltas(v), ref.candidate_deltas(v)
+        assert np.array_equal(got, want), (case, step, v)
+        for to in rng.choice(K, size=min(K, 3), replace=False).tolist():
+            assert delta_objective(dense, v, to) == ref.delta_objective(v, to)
+        # Mostly greedy, sometimes random, so the walk visits varied states.
+        to = int(np.argmin(got)) if rng.random() < 0.75 else int(rng.integers(K))
+        dense.apply_move(v, to)
+        ref.apply_move(v, to)
+        assert dense.objective() == ref.objective()
+    _assert_same_state(dense, ref)
+    dense.verify_counts()
+
+
+@pytest.mark.parametrize("greedy,scan", [(False, "deterministic"), (False, "random"),
+                                         (True, "random")])
+def test_cluster_matches_dict_partition(monkeypatch, greedy, scan):
+    g, _ = generate_planted(90, 3, 0.2, 0.1, seed=4)
+    cfg = ClusterConfig(K=4, max_sweeps=6, restarts=2, seed=5, greedy=greedy, scan=scan,
+                        temperature=0.5)
+    part, trace = cluster(g, cfg)
+    monkeypatch.setattr(clustering, "Partition", DictPartition)
+    ref_part, ref_trace = cluster(g, cfg)
+    assert isinstance(ref_part, DictPartition)
+    assert trace == ref_trace
+    assert np.array_equal(part.assignment, ref_part.assignment)
+
+
+def test_placement_deltas_match_dict_partition():
+    rng = np.random.default_rng(3)
+    g, _ = generate_planted(60, 4, 0.15, 0.1, seed=2)
+    for K in (1, 3, 7):
+        asg = rng.integers(0, K, size=g.node_count)
+        dense, ref = Partition(g, asg, K), DictPartition(g, asg, K)
+        for trial in range(30):
+            node = g.node_count       # a new node, not yet counted
+            others = rng.choice(g.node_count, size=int(rng.integers(1, 9)), replace=False)
+            edges = []
+            for o in others.tolist():
+                lab = int(rng.integers(2))
+                edges.append((node, o, lab) if rng.random() < 0.5 else (o, node, lab))
+                if rng.random() < 0.3:      # both directions to the same node
+                    edges.append((o, node, 1 - lab) if edges[-1][0] == node
+                                 else (node, o, 1 - lab))
+            dense.extend(1)
+            ref.extend(1)
+            got = dense.placement_deltas(node, edges)
+            assert np.array_equal(got, ref.placement_deltas(node, edges)), (K, trial)
+            dense.assignment = dense.assignment[:-1]
+            ref.assignment = ref.assignment[:-1]
+
+
+def _recording(part):
+    calls = []
+    inner = part.placement_deltas
+
+    def record(node, edges):
+        deltas = inner(node, edges)
+        calls.append((node, list(edges), deltas))
+        return deltas
+
+    part.placement_deltas = record
+    return calls
+
+
+def test_batch_with_new_nodes_matches_dict_partition():
+    g, _ = generate_planted(80, 4, 0.12, 0.1, seed=6)
+    rng = np.random.default_rng(8)
+    asg = rng.integers(0, 4, size=g.node_count)
+    ext = g.external_of
+    batch = []
+    for i in range(6):                        # new nodes, wired to old ones and each other
+        for o in rng.choice(g.node_count, size=5, replace=False).tolist():
+            lab = int(rng.integers(2))
+            batch.append((f"new{i}", ext(o), lab) if rng.random() < 0.5
+                         else (ext(o), f"new{i}", lab))
+        if i:
+            batch.append((f"new{i}", f"new{i - 1}", 0))
+    batch += [(ext(0), ext(1), 1), (ext(2), ext(3), 0)]
+    results = []
+    for cls in (Partition, DictPartition):
+        part = cls(g, asg, 4)
+        calls = _recording(part)
+        cc = ClusterCounts.from_partition(g, part)
+        new_g, report = apply_edge_batch(build_precomputed_nam(g), cc, g, batch)
+        results.append((part, calls, cc, new_g))
+    (dense, d_calls, d_cc, new_g), (ref, r_calls, r_cc, _) = results
+    assert len(d_calls) == 6
+    for (n1, e1, d1), (n2, e2, d2) in zip(d_calls, r_calls):
+        assert n1 == n2 and e1 == e2 and np.array_equal(d1, d2)
+    _assert_same_state(dense, ref)
+    assert d_cc.table == r_cc.table
+    dense.verify_counts()
+    assert dense.graph is new_g
+
+
+def test_add_edge_count_is_all_or_nothing():
+    g, _ = generate_planted(40, 3, 0.2, 0.1, seed=1)
+    part = Partition.from_random(g, 3, np.random.default_rng(0))
+    counts, weights, phi = part.pair_counts.copy(), part.pair_weights.copy(), part.objective()
+    with pytest.raises(ValueError, match="went negative"):
+        part.add_edge_count(1, 2, 0, -int(counts[1, 2, 0]) - 1)
+    with pytest.raises(ValueError, match="out of range"):
+        part.add_edge_count(-1, 0, 0, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        part.add_edge_count(0, 3, 0, 1)
+    assert np.array_equal(part.pair_counts, counts)
+    assert np.array_equal(part.pair_weights, weights)
+    assert part.objective() == phi
+    part.verify_counts()
+
+
+def test_pair_weight_uses_math_log2():
+    # 7957 * np.log2(7957) is one ulp off 7957 * math.log2(7957); the
+    # weights must use the latter.
+    edges = [(s, 90 + d, 0) for s in range(90) for d in range(90)]
+    edges = [(s, d, int(i >= 7957)) for i, (s, d, _) in enumerate(edges)]
+    g = graph_from(edges, 180)
+    dense = Partition(g, [0] * 90 + [1] * 90, 2)
+    assert dense.pair_counts[0, 1].tolist() == [7957, 143]
+    assert dense.pair_weights[0, 1] == pair_entropy_weight([7957, 143])
+    assert dense.objective() == DictPartition(g, dense.assignment, 2).objective()

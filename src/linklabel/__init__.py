@@ -12,7 +12,7 @@ from .clustering import (ClusterConfig, Partition, boltzmann_pick, cluster,
                          read_partition, write_partition)
 from .counts import (ANY, BatchReport, BudgetExceededError, ClusterCounts,
                      CooccurrenceCounts, apply_edge_batch,
-                     build_precomputed_nam, cam_count, nam_count,
+                     build_precomputed_nam, nam_count,
                      projected_pair_cost, save_cam_snapshot, save_nam_snapshot)
 from .evaluation import (EvalReport, FoldPlan, balanced_accuracy, evaluate,
                          make_folds, param_sample_cdf, sparsity_sweep)
@@ -22,9 +22,7 @@ from .graph import (SIGNED, Context, EdgeListParseError, LabelAlphabet,
                     sparsify, write_edge_list)
 from .predictors import (CLUSTER_KINDS, LOCAL_KINDS, MODEL_KINDS,
                          LabelDistribution, SmoothingConfig, class_prior,
-                         decide, decide_many, predict, predict_gcgm,
-                         predict_gtlgm, predict_lcgm, predict_ltlgm,
-                         predict_many, predict_scgm, predict_stlgm)
+                         decide, decide_many, predict, predict_many)
 
 __version__ = "0.1.0"
 
@@ -35,13 +33,11 @@ __all__ = [
     "LabelAlphabet", "LabelDistribution", "LoadOptions", "LoadReport",
     "MODEL_KINDS", "Partition", "PredictionQuery", "SIGNED", "SignedGraph",
     "SmoothingConfig", "apply_edge_batch", "balanced_accuracy",
-    "boltzmann_pick", "build_precomputed_nam", "cam_count", "class_prior",
+    "boltzmann_pick", "build_precomputed_nam", "class_prior",
     "cluster", "context_of", "decide", "decide_many", "delta_objective", "evaluate",
     "generate_planted", "gibbs_sweep", "graph_stats", "load_edge_list",
     "make_folds", "nam_count", "objective", "param_sample_cdf", "predict",
-    "predict_gcgm", "predict_gtlgm", "predict_lcgm", "predict_ltlgm",
-    "predict_many", "predict_scgm",
-    "predict_stlgm", "projected_pair_cost", "read_partition",
+    "predict_many", "projected_pair_cost", "read_partition",
     "save_cam_snapshot", "save_nam_snapshot", "sparsify", "sparsity_sweep",
     "write_edge_list", "write_partition",
 ]

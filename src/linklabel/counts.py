@@ -24,21 +24,23 @@ arrays per block of receivers yields the counts of every context entry of
 every query into those receivers.
 
 The precomputed node-level table and the cluster table can be kept in sync
-with a live edge stream through ``apply_edge_batch``. Updating the tables
-costs O(out-degree of the tail) per changed edge, but every batch also
-rebuilds the edge map and the ``SignedGraph``, which is O(edges): about
-43 ms for a one-edge batch at 38k edges.
+with a live edge stream through ``apply_edge_batch``. The node table costs
+O(out-degree of the tail) per changed edge, and the cluster table only the
+incidence pairs a changed tail gains or loses. Every batch also merges its
+edges into the graph's arrays with the loader's ``normalize_edge_arrays``
+and builds a new ``SignedGraph``, which is O(edges) in numpy: about 6 ms
+for a one-edge batch at 38k edges, 13 ms for 20 edges (2-vCPU Xeon).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .graph import SignedGraph
+from .graph import SignedGraph, normalize_edge_arrays
 
 #: Label selector meaning "any label" (set union over labels).
 ANY = -1
@@ -291,26 +293,6 @@ def _incidence_set(heads, labels, assignment) -> set:
     return d
 
 
-def cam_count(graph: SignedGraph, partition, s: int, m: int, l: int, n: int, lp: int) -> int:
-    """Count cluster-s nodes with an edge into cluster ``m`` labeled ``l`` and one into ``n`` labeled ``lp``.
-
-    Direct single-pass computation from the partition; ``l``/``lp`` may be
-    ANY. Unlike the node-level counts, per-label counts here may exceed the
-    ANY count when nodes carry several labels into the same cluster.
-    """
-    assignment = partition.assignment
-    want1, want2 = (m, l), (n, lp)
-    total = 0
-    for v in np.flatnonzero(assignment == s):
-        heads, labels = graph.out_arrays(int(v))
-        if heads.size == 0:
-            continue
-        d = _incidence_set(heads, labels, assignment)
-        if want1 in d and want2 in d:
-            total += 1
-    return total
-
-
 class ClusterCounts:
     """Sparse table of cluster-level co-incidence counts.
 
@@ -347,17 +329,20 @@ class ClusterCounts:
     def count(self, s: int, m: int, l: int, n: int, lp: int) -> int:
         return self.table.get((s, m, l, n, lp), 0)
 
-    def _apply_incidences(self, s: int, d: Iterable, sign: int) -> None:
-        d = list(d)
+    def _apply_incidences(self, s: int, old: set, new: set) -> None:
+        # A cluster-s tail's incidence set goes from ``old`` to ``new``: only
+        # the ordered pairs with an incidence in ``old ^ new`` change. Zeros
+        # are pruned so the table stays identical to a fresh build.
         table = self.table
-        for a in d:
-            for b in d:
-                k = (s, a[0], a[1], b[0], b[1])
-                v = table.get(k, 0) + sign
-                if v:
-                    table[k] = v
-                else:
-                    table.pop(k, None)
+        for d, gone, sign in ((old, old - new, -1), (new, new - old, +1)):
+            for a in d:
+                for b in (d if a in gone else gone):
+                    k = (s, a[0], a[1], b[0], b[1])
+                    v = table.get(k, 0) + sign
+                    if v:
+                        table[k] = v
+                    else:
+                        table.pop(k, None)
 
 
 @lru_cache(maxsize=None)
@@ -476,15 +461,22 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     triples and pass the loader's normalization: self-loops are dropped,
     within-batch duplicates collapse last-wins, and a pair that already
     exists in the graph has its old label retracted from the counts before
-    the new one is added. After the call every count equals what a
-    from-scratch build on the extended graph would produce; existing cluster
-    assignments are untouched and brand-new nodes are placed on the cluster
-    whose objective delta is smallest (largest cluster when edge-free).
+    the new one is added. The merged graph is ``normalize_edge_arrays`` of
+    the old edges followed by the batch, so the batch label wins. After the
+    call every count equals what a from-scratch build on the extended graph
+    would produce; existing cluster assignments are untouched and brand-new
+    nodes are placed on the cluster whose objective delta is smallest
+    (largest cluster when edge-free).
+
+    The cost is O(edges) in numpy for the merged graph, plus Python work
+    per changed edge: O(out-degree of its tail) node-table updates and the
+    cluster-table pairs of the incidences its tail gains or loses.
 
     The caller must hold exclusive access: ``counts``, ``cluster_counts``
     and its partition are mutated in place and rebound to the returned
-    graph. All three must be bound to ``graph``; otherwise the call raises
-    ValueError before anything is changed.
+    graph. All three must be bound to ``graph``, and the partition must hold
+    the pair count of every edge the batch relabels; otherwise the call
+    raises ValueError before anything is changed.
 
     Args:
         counts: node-level counts; a precomputed table is updated in place,
@@ -536,28 +528,38 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     def dense(tok):
         return pending[tok] if tok in pending else graph.node_of(tok)
 
-    # Phase 1: the final edge map and the new graph snapshot.
-    edge_map = graph.edge_map()
-    changes = []    # (u, v, old_label_or_None, new_label)
-    for (s_ext, d_ext), label in effective.items():
-        u, v = dense(s_ext), dense(d_ext)
-        old = edge_map.get((u, v))
-        if old == label:
-            report.unchanged += 1
-            continue
-        if old is None:
-            report.added += 1
-        else:
-            report.relabeled += 1
-        changes.append((u, v, old, label))
-        edge_map[(u, v)] = label
+    # Phase 1: each effective pair's old label (-1 if absent), found in the
+    # old graph's sorted keys, and the merged graph by the loader's rule.
+    src, dst, lbl = graph.edge_arrays
+    b_src, b_dst, b_lbl = np.array([(dense(s), dense(d), label) for (s, d), label
+                                    in effective.items()], dtype=np.int64).reshape(-1, 3).T
+    keys, b_keys = src * n_new + dst, b_src * n_new + b_dst
+    pos = np.searchsorted(keys, b_keys)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == b_keys[hit]
+    b_old = np.full(b_keys.size, -1, dtype=np.int64)
+    b_old[hit] = lbl[pos[hit]]
+    changed = b_old != b_lbl
+    relabel = changed & hit
+    changes = list(zip(*(a[changed].tolist() for a in (b_src, b_dst, b_old, b_lbl))))
+    report.unchanged = int(b_keys.size - changed.sum())
+    report.relabeled = int(relabel.sum())
+    report.added = len(changes) - report.relabeled
 
-    items = sorted(edge_map.items())
-    src = np.array([k[0] for k, _ in items], dtype=np.int64)
-    dst = np.array([k[1] for k, _ in items], dtype=np.int64)
-    lbl = np.array([lab for _, lab in items], dtype=np.int64)
+    src, dst, lbl, _, _ = normalize_edge_arrays(np.concatenate((src, b_src)),
+                                                np.concatenate((dst, b_dst)),
+                                                np.concatenate((lbl, b_lbl)), n_new)
     external_ids = graph.external_ids + report.new_node_ids
     new_graph = SignedGraph(n_new, src, dst, lbl, alphabet, external_ids)
+
+    # Before any write: the pair counts phase 3a retracts must all exist.
+    K, asg = partition.K, partition.assignment
+    retracted = (asg[b_src[relabel]] * K + asg[b_dst[relabel]]) * L + b_old[relabel]
+    short = np.bincount(retracted, minlength=K * K * L) > partition.pair_counts.reshape(-1)
+    if short.any():
+        c, d, l = np.unravel_index(int(np.argmax(short)), (K, K, L))
+        raise ValueError(f"pair count for {(int(c), int(d))} label {int(l)} would go "
+                         f"negative: the partition does not match the graph")
 
     # Phase 2: node-level table, one retract/add per changed pair against the
     # evolving out-adjacency of its tail (cost O(out_degree) per edge).
@@ -578,7 +580,7 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
 
         for u, v, old, label in changes:
             d = nbrs_of(u)
-            if old is not None:
+            if old >= 0:
                 del d[v]
                 _bump4(table, v, old, v, old, -1)
                 for h, lh in d.items():
@@ -591,11 +593,10 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
             d[v] = label
 
     # Phase 3a: partition pair counts for changed edges between existing nodes.
-    assignment_old = partition.assignment
     for u, v, old, label in changes:
         if u < n_old and v < n_old:
-            cu, cv = int(assignment_old[u]), int(assignment_old[v])
-            if old is not None:
+            cu, cv = int(asg[u]), int(asg[v])
+            if old >= 0:
                 partition.add_edge_count(cu, cv, old, -1)
             partition.add_edge_count(cu, cv, label, +1)
 
@@ -620,20 +621,13 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
             for u, v, label in ready:       # w's own cluster is now best
                 partition.add_edge_count(int(assignment[u]), int(assignment[v]), label, +1)
 
-    # Phase 4: cluster-level table, per changed tail: subtract its old
-    # incidence pairs, add the new ones under the final assignment.
+    # Phase 4: cluster-level table, per changed tail: move its incidence
+    # pairs from the old incidence set to the new one (final assignment).
     assignment = partition.assignment
-    changed_tails = sorted({u for u, _, _, _ in changes})
-    for u in changed_tails:
-        if u < n_old:
-            heads, labels = graph.out_arrays(u)
-            if heads.size:
-                old_d = _incidence_set(heads, labels, assignment)
-                cluster_counts._apply_incidences(int(assignment[u]), old_d, -1)
-        heads, labels = new_graph.out_arrays(u)
-        if heads.size:
-            new_d = _incidence_set(heads, labels, assignment)
-            cluster_counts._apply_incidences(int(assignment[u]), new_d, +1)
+    for u in {u for u, _, _, _ in changes}:
+        old_d = _incidence_set(*graph.out_arrays(u), assignment) if u < n_old else set()
+        new_d = _incidence_set(*new_graph.out_arrays(u), assignment)
+        cluster_counts._apply_incidences(int(assignment[u]), old_d, new_d)
 
     counts.graph = new_graph
     cluster_counts.graph = new_graph

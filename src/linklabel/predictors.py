@@ -17,6 +17,36 @@ distribution per context edge; the *context-generator* models (LCGM, GCGM,
 SCGM) multiply per-context-edge conditionals under each candidate label,
 naive-Bayes style, in log space.
 
+Per context edge (x, l_x) of a query i -> j, with s, c_x and c_j the
+clusters of i, x and j, and cam(...) a cluster-level count:
+
+* ltlgm: term_l = count(j, l, x, l_x) / count(j, ANY, x, l_x). Entries with
+  a zero denominator are skipped and the uniform weights renormalize over
+  the survivors; with no survivor the result is undefined.
+* lcgm: score(l) = prior(l) * prod p(l_x | l), with p(l_x | l) =
+  count(j, l, x, l_x) / count(x, ANY, j, l), Laplace-floored with alpha =
+  lcgm_floor_alpha. With alpha = 0 a factor whose denominator is empty for
+  some label is skipped for every label. Scores are normalized; all-zero
+  scores are undefined and an empty context returns the prior.
+* gtlgm: ltlgm over cluster incidence sets: term_l is cam(s, c_x, l_x,
+  c_j, l), the cluster-s nodes reaching c_x with l_x and c_j with l,
+  renormalized over labels (per-label counts can overlap at cluster level).
+  Entries with cam(s, c_x, l_x, c_j, ANY) = 0 are skipped.
+* gcgm: lcgm with p(l_x | l) = cam(s, c_x, l_x, c_j, l) / cam(s, c_x, ANY,
+  c_j, l); the same floor, skip rule and prior.
+* stlgm: each entry contributes (1 - lambda) * local + lambda * global,
+  lambda = mu / (n + mu). In "support" mode n is the entry's local
+  denominator, so lambda is label-independent; in "paper" mode n is
+  count(x, ANY, j, l) and the blend is renormalized. An entry without a
+  local term goes fully global, one without a global term stays local, one
+  with neither is skipped; no survivor is undefined.
+* scgm: each factor mixes the unfloored lcgm and the gcgm conditionals with
+  lambda' = mu / (n' + mu), n' being the local factor's own denominator
+  ("support", per label) or count(j, ANY, x, l_x) ("paper"). Labels without
+  local support go global, labels without global support stay local, and a
+  factor where some label has neither is skipped for every label. The
+  product, normalization and empty context are lcgm's.
+
 Every model returns a LabelDistribution which is either defined (a proper
 distribution) or undefined, in which case ``decide`` substitutes the class
 prior and flags the fallback. Undefined arises when no context entry has any
@@ -33,8 +63,7 @@ pass over the graph (``context_evidence``). ``_target_terms`` and
 ``_ordered_sum`` adds them per query in context order, the float order of
 a loop over the context. The two entry points therefore give the same
 floats, and ``predict``'s support records come from the same per-entry
-arrays. ``predict_ltlgm`` ... ``predict_scgm`` are ``predict`` with their
-kind; ``decide_many`` is the matching form of ``decide``.
+arrays. ``decide_many`` is the matching form of ``decide``.
 """
 
 from __future__ import annotations
@@ -164,112 +193,6 @@ def decide_many(probs: np.ndarray, defined: np.ndarray, prior: LabelDistribution
     top = p == p.max(axis=1, keepdims=True)
     order = sorted(range(prior.probs.size), key=lambda l: (-float(prior.probs[l]), l))
     return np.asarray(order)[np.argmax(top[:, order], axis=1)], ~defined
-
-
-# -- the six models: ``predict`` with their kind --------------------------------------
-
-def predict_ltlgm(graph: SignedGraph, counts: CooccurrenceCounts,
-                  query: PredictionQuery, collect_support: bool = False) -> LabelDistribution:
-    """Local target-link model.
-
-    For each context edge (x, l_x), the nodes that point at the receiver j
-    and also point at x with label l_x vote with the label they gave j:
-    term_l = count(j, l, x, l_x) / count(j, ANY, x, l_x). Entries whose
-    denominator is zero are skipped and the uniform weights renormalize over
-    the survivors; with no survivor the result is undefined.
-
-    Args:
-        graph: training graph (must not contain the queried edge).
-        counts: node-level co-occurrence counts over ``graph``.
-        query: initiator -> receiver pair.
-        collect_support: attach per-entry diagnostics.
-
-    Returns:
-        LabelDistribution (defined iff any context entry had support).
-    """
-    return predict("ltlgm", graph, query, counts=counts, collect_support=collect_support)
-
-
-def predict_lcgm(graph: SignedGraph, counts: CooccurrenceCounts,
-                 query: PredictionQuery, config: SmoothingConfig,
-                 collect_support: bool = False) -> LabelDistribution:
-    """Local context-generator model.
-
-    Scores each candidate label l by prior(l) times the product over context
-    edges of p(l_x | l) = count(j, l, x, l_x) / count(x, ANY, j, l),
-    Laplace-floored with alpha = lcgm_floor_alpha. With alpha = 0, a factor
-    whose denominator is empty for some label is skipped for every label, so
-    missing evidence never tips the product. Scores are accumulated in log
-    space and normalized; all-zero scores yield undefined. An empty context
-    returns the prior itself.
-    """
-    return predict("lcgm", graph, query, counts=counts, config=config,
-                   collect_support=collect_support)
-
-
-def predict_gtlgm(graph: SignedGraph, cluster_counts: ClusterCounts, partition,
-                  query: PredictionQuery, collect_support: bool = False) -> LabelDistribution:
-    """Cluster-level target-link model.
-
-    The LTLGM construction with node sets replaced by cluster incidence
-    sets: with s the initiator's cluster, c_j the receiver's and c_x the
-    context head's, term_l counts cluster-s nodes reaching c_x with l_x and
-    c_j with l. Per-label numerators can overlap at cluster level, so every
-    surviving term is renormalized over labels before averaging.
-    """
-    return predict("gtlgm", graph, query, cluster_counts=cluster_counts,
-                   partition=partition, collect_support=collect_support)
-
-
-def predict_gcgm(graph: SignedGraph, cluster_counts: ClusterCounts, partition,
-                 query: PredictionQuery, config: SmoothingConfig,
-                 collect_support: bool = False) -> LabelDistribution:
-    """Cluster-level context-generator model.
-
-    LCGM with cluster-level factors p(l_x | l) = cam(s, c_x, l_x, c_j, l) /
-    cam(s, c_x, ANY, c_j, l); the same floor, symmetric skip, log-space
-    product and prior machinery apply.
-    """
-    return predict("gcgm", graph, query, cluster_counts=cluster_counts,
-                   partition=partition, config=config, collect_support=collect_support)
-
-
-def predict_stlgm(graph: SignedGraph, counts: CooccurrenceCounts,
-                  cluster_counts: ClusterCounts, partition,
-                  query: PredictionQuery, config: SmoothingConfig,
-                  collect_support: bool = False) -> LabelDistribution:
-    """Smoothed target-link model: per-entry blend of LTLGM and GTLGM terms.
-
-    Each context entry contributes (1 - lambda) * local + lambda * global
-    with lambda = mu / (n + mu). In "support" mode n is the entry's local
-    denominator, so lambda is label-independent and the blend stays a
-    distribution. In "paper" mode n is count(x, ANY, j, l), label-dependent,
-    and the blended vector is renormalized. An entry whose local term is
-    undefined goes fully global (lambda = 1); one whose global term is
-    undefined stays fully local (lambda = 0); entries with neither are
-    skipped, and with no survivor the result is undefined.
-    """
-    return predict("stlgm", graph, query, counts=counts, cluster_counts=cluster_counts,
-                   partition=partition, config=config, collect_support=collect_support)
-
-
-def predict_scgm(graph: SignedGraph, counts: CooccurrenceCounts,
-                 cluster_counts: ClusterCounts, partition,
-                 query: PredictionQuery, config: SmoothingConfig,
-                 collect_support: bool = False) -> LabelDistribution:
-    """Smoothed context-generator model: per-factor blend of LCGM and GCGM.
-
-    For each context edge and candidate label, the raw (unfloored) local
-    conditional and the cluster-level conditional are mixed with lambda' =
-    mu / (n' + mu): in "support" mode n' is the local factor's own
-    denominator (per label), in "paper" mode the scalar count(j, ANY, x,
-    l_x). Labels with no local support go fully global, labels with no
-    global support stay fully local, and a factor where some label has
-    neither is skipped symmetrically. Log-space product with the prior;
-    all-zero scores yield undefined; an empty context returns the prior.
-    """
-    return predict("scgm", graph, query, counts=counts, cluster_counts=cluster_counts,
-                   partition=partition, config=config, collect_support=collect_support)
 
 
 def _checked_kind(model_kind: str, cluster_counts, partition) -> str:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: records, determinism, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -322,6 +323,73 @@ def test_update_rejects_bad_batch_line(capsys, g1_file, tmp_path):
     batch.write_text("i x ?\n")
     assert main(["update", "--input", str(g1_file), "--batch", str(batch),
                  "--clusters", "2"]) == 1
+
+
+def _write_update_inputs(d):
+    """A 60-node planted graph, its planted partition, and a mixed batch.
+
+    The batch relabels five edges, restates three, adds 30 pairs between
+    existing nodes and 4 that bring three new nodes, and holds a self-loop
+    and three within-batch duplicates, one of which undoes a relabel.
+    """
+    g, roles = generate_planted(60, 3, 0.2, 0.1, seed=7)
+    ext, names, em = g.external_of, g.alphabet.names, g.edge_map()
+    lines = []
+    for u in range(8):                       # 0..4 relabel, 5..7 restate
+        heads, labels = g.out_arrays(u)
+        h, l = int(heads[0]), int(labels[0])
+        lines.append(f"{ext(u)} {ext(h)} {names[1 - l if u < 5 else l]}")
+    lines += ["n1 05 +", "07 n2 -", "11 11 +"]
+    for u in range(10, 45):
+        v = (u * 7 + 3) % 60
+        if v != u and (u, v) not in em:
+            lines.append(f"{ext(u)} {ext(v)} {names[(u // 3) % 2]}")
+    flip = {"+": "-", "-": "+"}
+    lines += ["n2 n3 +", "n1 05 -", lines[0][:-1] + flip[lines[0][-1]],
+              lines[12][:-1] + flip[lines[12][-1]], "n3 n1 -"]
+    data, part, batch = d / "g.txt", d / "part.txt", d / "batch.txt"
+    write_edge_list(g, data)
+    part.write_text("# clusters 3\n" + "".join(
+        f"{ext(v)} {int(roles[v])}\n" for v in range(g.node_count)))
+    batch.write_text("\n".join(lines) + "\n")
+    return data, part, batch
+
+
+#: sha256 of each ``update`` output on ``_write_update_inputs``, fresh
+#: clustering and ``--partition-file``. A change here is a change of output.
+UPDATE_DIGESTS = {
+    "fresh": {
+        "cam": "49072ac1a3834acfd691b3df1bb0637f511f08854b47dd50eae163d1493cdf0f",
+        "edges": "150cd81b346f60516cf2d360736622bea68ebd5aac5d29b0a34fdda619565f56",
+        "jsonl": "7beac65baa3f20318ed0910297c6da5a608126c1556dd9e009cca1fbf3322f05",
+        "nam": "fab025c2c3d23b2b51e88b255bdc3fea7dca94af2e7e719fbb768d17bc9dbb67",
+        "partition": "909b7ad635f8280c56ae21796666872a81924abaaef2e8a85e5a6358f15dfb74",
+    },
+    "partition-file": {
+        "cam": "9171f7badcd9c5deb88384d3dbdd26d130369709e2cdf9f28b09277af48af805",
+        "edges": "150cd81b346f60516cf2d360736622bea68ebd5aac5d29b0a34fdda619565f56",
+        "jsonl": "604bcb37f91f81121e4066ef8c45e3b33917ddb744c69e9e96cc957699a6c09c",
+        "nam": "fab025c2c3d23b2b51e88b255bdc3fea7dca94af2e7e719fbb768d17bc9dbb67",
+        "partition": "d1425441ab1ff7d776397e85c19ae25195ad4722d6e4880ebe79c1bff4c3a537",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(UPDATE_DIGESTS))
+def test_update_artifacts_pinned(capsys, tmp_path, mode):
+    data, part, batch = _write_update_inputs(tmp_path)
+    outs = {name: tmp_path / f"out.{name}" for name in
+            ("edges", "partition", "nam", "cam", "jsonl")}
+    argv = ["update", "--input", str(data), "--batch", str(batch),
+            "--clusters", "3", "--restarts", "1", "--max-sweeps", "5",
+            "--out-edges", str(outs["edges"]), "--out-partition", str(outs["partition"]),
+            "--out-nam", str(outs["nam"]), "--out-cam", str(outs["cam"]),
+            "--output", str(outs["jsonl"])]
+    if mode == "partition-file":
+        argv += ["--partition-file", str(part)]
+    assert main(argv) == 0
+    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in outs.items()}
+    assert digests == UPDATE_DIGESTS[mode]
 
 
 def test_update_budget_error_names_the_cli_flags(capsys, planted_file, tmp_path):

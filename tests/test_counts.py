@@ -12,7 +12,6 @@ from linklabel import (
     SignedGraph,
     apply_edge_batch,
     build_precomputed_nam,
-    cam_count,
     generate_planted,
     nam_count,
     projected_pair_cost,
@@ -114,38 +113,38 @@ def test_single_node_mixed_labels():
     # One cluster-0 node points into cluster 1 with both labels:
     # the mixed-label entry counts that node once.
     g = SignedGraph.from_edges(3, [(0, 1, 0), (0, 2, 1)])
-    part = Partition.from_assignment(g, [0, 1, 1], K=2)
-    assert cam_count(g, part, 0, 1, 0, 1, 1) == 1
-    assert cam_count(g, part, 0, 1, ANY, 1, ANY) == 1
+    cam = ClusterCounts.from_partition(g, Partition.from_assignment(g, [0, 1, 1], K=2)).count
+    assert cam(0, 1, 0, 1, 1) == 1
+    assert cam(0, 1, ANY, 1, ANY) == 1
 
 
 def test_any_is_union_not_sum():
     g = SignedGraph.from_edges(3, [(0, 1, 0), (0, 2, 1)])
-    part = Partition.from_assignment(g, [0, 1, 1], K=2)
-    total = sum(cam_count(g, part, 0, 1, l, 1, lp) for l in (0, 1) for lp in (0, 1))
+    cam = ClusterCounts.from_partition(g, Partition.from_assignment(g, [0, 1, 1], K=2)).count
+    total = sum(cam(0, 1, l, 1, lp) for l in (0, 1) for lp in (0, 1))
     assert total == 4
-    assert cam_count(g, part, 0, 1, ANY, 1, ANY) == 1
+    assert cam(0, 1, ANY, 1, ANY) == 1
 
 
 def test_planted_purity():
     g, roles = generate_planted(30, 3, 0.3, 0.0, seed=5)
-    part = Partition.from_assignment(g, roles, K=3)
+    cam = ClusterCounts.from_partition(g, Partition.from_assignment(g, roles, K=3)).count
     labels = {}
     for s, d, l in g.edges():
         labels[(int(roles[s]), int(roles[d]))] = l
     for (cs, cd), l in labels.items():
         tails = {int(s) for s, d, _ in g.edges()
                  if roles[s] == cs and roles[d] == cd}
-        assert cam_count(g, part, cs, cd, l, cd, l) == len(tails)
-        assert cam_count(g, part, cs, cd, 1 - l, cd, 1 - l) == 0
+        assert cam(cs, cd, l, cd, l) == len(tails)
+        assert cam(cs, cd, 1 - l, cd, 1 - l) == 0
 
 
 def test_empty_cluster_counts_zero():
     g = SignedGraph.from_edges(3, [(0, 1, 0), (1, 2, 1)])
-    part = Partition.from_assignment(g, [0, 0, 0], K=2)
+    cam = ClusterCounts.from_partition(g, Partition.from_assignment(g, [0, 0, 0], K=2)).count
     for m in range(2):
         for nn in range(2):
-            assert cam_count(g, part, 1, m, ANY, nn, ANY) == 0
+            assert cam(1, m, ANY, nn, ANY) == 0
 
 
 def test_cluster_table_matches_scan_and_oracle():
@@ -162,7 +161,6 @@ def test_cluster_table_matches_scan_and_oracle():
                     for l in (ANY, *range(L)):
                         for lp in (ANY, *range(L)):
                             got = cc.count(s, m, l, nn, lp)
-                            assert got == cam_count(g, part, s, m, l, nn, lp)
                             la = None if l == ANY else l
                             lb = None if lp == ANY else lp
                             assert got == oracle(s, m, la, nn, lb)
@@ -311,6 +309,50 @@ def test_batch_rejects_state_of_another_graph():
     with pytest.raises(ValueError, match="bound to graph"):
         apply_edge_batch(counts, cc, g, batch)
     assert counts.table == before_nam and cc.table == before_cam
+
+
+def test_batch_on_corrupted_partition_changes_nothing():
+    # The partition misses the pair count of an edge the batch relabels:
+    # the batch is refused before either table or the partition changes.
+    g, roles = generate_planted(30, 3, 0.2, 0.1, seed=0)
+    part = Partition.from_assignment(g, roles, K=3)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    u, v, l = next(g.edges())
+    part.pair_counts[roles[u], roles[v], l] = 0
+    before = (dict(counts.table), dict(cc.table), part.pair_counts.copy(),
+              part.assignment.copy())
+    with pytest.raises(ValueError, match="negative"):
+        apply_edge_batch(counts, cc, g, [(g.external_of(u), g.external_of(v), 1 - l)])
+    assert counts.table == before[0] and cc.table == before[1]
+    assert np.array_equal(part.pair_counts, before[2])
+    assert np.array_equal(part.assignment, before[3])
+    assert counts.graph is g and cc.graph is g and part.graph is g
+
+
+@pytest.mark.parametrize("case", ["edgeless_base", "only_self_loops", "incidence_swap"])
+def test_batch_edge_cases_match_rebuild(case):
+    if case == "edgeless_base":
+        g = SignedGraph.from_edges(4, [])
+        batch = [("0", "1", 0), ("1", "2", 1), ("n1", "0", 1), ("3", "n1", 0)]
+    elif case == "only_self_loops":
+        g = SignedGraph.from_edges(6, G1_EDGES)
+        batch = [("0", "0", 0), ("2", "2", 1), ("n1", "n1", 0)]
+    else:
+        # Tail 0's only (cluster 1, label 0) incidence becomes (cluster 1,
+        # label 1): its incidence set loses one entry and gains another.
+        g = SignedGraph.from_edges(4, [(0, 1, 0), (0, 2, 1), (3, 1, 0), (2, 3, 1)])
+        batch = [("0", "1", 1)]
+    K = 2 if case == "incidence_swap" else 3
+    asg = [0, 1, 0, 1] if case == "incidence_swap" else [u % K for u in range(g.node_count)]
+    part = Partition.from_assignment(g, asg, K)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    new_g, report = apply_edge_batch(counts, cc, g, batch)
+    _assert_matches_rebuild(counts, cc, new_g)
+    if case == "only_self_loops":
+        assert report.self_loops_dropped == 3 and report.new_nodes == 0
+        assert np.array_equal(new_g.edge_arrays, g.edge_arrays)
+    else:
+        assert new_g.edge_count == g.edge_count + report.added
 
 
 def test_batch_with_on_demand_counts_rebinds(g1):

@@ -16,12 +16,6 @@ from linklabel import (
     decide,
     generate_planted,
     predict,
-    predict_gcgm,
-    predict_gtlgm,
-    predict_lcgm,
-    predict_ltlgm,
-    predict_scgm,
-    predict_stlgm,
 )
 
 from conftest import G1_EDGES, I, J, graph_from, random_graph
@@ -93,14 +87,14 @@ def test_decide_requires_defined_prior():
 
 def test_ltlgm_worked_example(g1):
     counts = build_precomputed_nam(g1)
-    dist = predict_ltlgm(g1, counts, Q)
+    dist = predict("ltlgm", g1, Q, counts=counts)
     assert dist.defined
     assert dist.probs == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
 
 def test_ltlgm_empty_context_undefined(g1):
     counts = build_precomputed_nam(g1)
-    assert not predict_ltlgm(g1, counts, PredictionQuery(J, I)).defined
+    assert not predict("ltlgm", g1, PredictionQuery(J, I), counts=counts).defined
 
 
 def test_ltlgm_averaging_idempotence():
@@ -110,7 +104,7 @@ def test_ltlgm_averaging_idempotence():
     edges += [(I, 6, 0), (3, 6, 0), (4, 6, 0), (5, 6, 0)]
     g = SignedGraph.from_edges(7, edges)
     counts = build_precomputed_nam(g)
-    dist = predict_ltlgm(g, counts, PredictionQuery(I, J))
+    dist = predict("ltlgm", g, PredictionQuery(I, J), counts=counts)
     assert dist.probs == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
 
@@ -120,7 +114,7 @@ def test_ltlgm_skips_unsupported_entries(g1):
     edges = list(G1_EDGES) + [(I, 5, 1)]
     g = SignedGraph.from_edges(6, edges)
     counts = build_precomputed_nam(g)
-    dist = predict_ltlgm(g, counts, PredictionQuery(I, J))
+    dist = predict("ltlgm", g, PredictionQuery(I, J), counts=counts)
     assert dist.probs == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
 
@@ -129,7 +123,7 @@ def test_ltlgm_skips_unsupported_entries(g1):
 def test_lcgm_unfloored_tie(g1):
     counts = build_precomputed_nam(g1)
     cfg = SmoothingConfig(lcgm_floor_alpha=0.0)
-    dist = predict_lcgm(g1, counts, Q, cfg)
+    dist = predict("lcgm", g1, Q, counts=counts, config=cfg)
     assert dist.probs == pytest.approx([0.5, 0.5], abs=1e-12)
     label, fb = decide(dist, class_prior(g1))
     assert (label, fb) == (0, False)      # tie falls to the higher prior
@@ -138,7 +132,7 @@ def test_lcgm_unfloored_tie(g1):
 def test_lcgm_floored_value(g1):
     counts = build_precomputed_nam(g1)
     cfg = SmoothingConfig(lcgm_floor_alpha=1.0)
-    dist = predict_lcgm(g1, counts, Q, cfg)
+    dist = predict("lcgm", g1, Q, counts=counts, config=cfg)
     want = 0.75 / (0.75 + 2 / 3)
     assert dist.probs == pytest.approx([want, 1 - want], abs=1e-9)
     assert dist.probs[0] == pytest.approx(0.5294, abs=5e-5)
@@ -146,11 +140,11 @@ def test_lcgm_floored_value(g1):
 
 def test_lcgm_empty_context_returns_prior(g1):
     counts = build_precomputed_nam(g1)
-    dist = predict_lcgm(g1, counts, PredictionQuery(J, I), SmoothingConfig())
+    dist = predict("lcgm", g1, PredictionQuery(J, I), counts=counts, config=SmoothingConfig())
     assert dist.defined
     assert dist.probs == pytest.approx([0.5, 0.5])
-    emp = predict_lcgm(g1, counts, PredictionQuery(J, I),
-                       SmoothingConfig(prior_mode="empirical"))
+    emp = predict("lcgm", g1, PredictionQuery(J, I), counts=counts,
+                  config=SmoothingConfig(prior_mode="empirical"))
     assert emp.probs == pytest.approx([6 / 7, 1 / 7])
 
 
@@ -165,7 +159,7 @@ def test_gtlgm_planted_purity():
         table[(int(roles[s]), int(roles[d]))] = l
     checked = 0
     for s, d, l in list(g.edges())[:60]:
-        dist = predict_gtlgm(g, cc, part, PredictionQuery(s, d))
+        dist = predict("gtlgm", g, PredictionQuery(s, d), cluster_counts=cc, partition=part)
         if dist.defined:
             assert dist.probs[table[(int(roles[s]), int(roles[d]))]] == pytest.approx(1.0)
             checked += 1
@@ -174,13 +168,14 @@ def test_gtlgm_planted_purity():
 
 def test_gtlgm_k1_worked_value(g1):
     counts, cc, part = _g1_setup(g1, K=1)
-    dist = predict_gtlgm(g1, cc, part, Q)
+    dist = predict("gtlgm", g1, Q, cluster_counts=cc, partition=part)
     assert dist.probs == pytest.approx([0.8, 0.2], abs=1e-12)
 
 
 def test_gtlgm_empty_context_undefined(g1):
     _, cc, part = _g1_setup(g1, K=1)
-    assert not predict_gtlgm(g1, cc, part, PredictionQuery(J, I)).defined
+    assert not predict("gtlgm", g1, PredictionQuery(J, I), cluster_counts=cc,
+                       partition=part).defined
 
 
 def test_gcgm_planted_argmax_is_table_label():
@@ -196,7 +191,8 @@ def test_gcgm_planted_argmax_is_table_label():
     cfg = SmoothingConfig(lcgm_floor_alpha=1.0)
     hits = total = 0
     for s, d, l in list(g.edges())[:60]:
-        dist = predict_gcgm(g, cc, part, PredictionQuery(s, d), cfg)
+        dist = predict("gcgm", g, PredictionQuery(s, d), cluster_counts=cc, partition=part,
+                       config=cfg)
         if dist.defined and not np.isclose(dist.probs[0], dist.probs[1]):
             label, _ = decide(dist, prior)
             hits += label == table[(int(roles[s]), int(roles[d]))]
@@ -206,7 +202,8 @@ def test_gcgm_planted_argmax_is_table_label():
 
 def test_gcgm_empty_context_returns_prior(g1):
     _, cc, part = _g1_setup(g1, K=1)
-    dist = predict_gcgm(g1, cc, part, PredictionQuery(J, I), SmoothingConfig())
+    dist = predict("gcgm", g1, PredictionQuery(J, I), cluster_counts=cc, partition=part,
+                   config=SmoothingConfig())
     assert dist.defined and dist.probs == pytest.approx([0.5, 0.5])
 
 
@@ -214,9 +211,11 @@ def test_gcgm_empty_context_returns_prior(g1):
 
 def test_stlgm_mu_limits(g1):
     counts, cc, part = _g1_setup(g1, K=1)
-    lo = predict_stlgm(g1, counts, cc, part, Q, SmoothingConfig(mu=1e-9))
+    lo = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                 config=SmoothingConfig(mu=1e-9))
     assert lo.probs == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
-    hi = predict_stlgm(g1, counts, cc, part, Q, SmoothingConfig(mu=1e9))
+    hi = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                 config=SmoothingConfig(mu=1e9))
     assert hi.probs == pytest.approx([0.8, 0.2], abs=1e-6)
 
 
@@ -224,9 +223,10 @@ def test_stlgm_equal_evidence_is_midpoint(g1):
     # The single context entry has local support n = 3; mu = 3 puts the
     # blend exactly halfway between the local and global terms.
     counts, cc, part = _g1_setup(g1, K=1)
-    dist = predict_stlgm(g1, counts, cc, part, Q, SmoothingConfig(mu=3.0))
-    local = predict_ltlgm(g1, counts, Q).probs
-    glob = predict_gtlgm(g1, cc, part, Q).probs
+    dist = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                   config=SmoothingConfig(mu=3.0))
+    local = predict("ltlgm", g1, Q, counts=counts).probs
+    glob = predict("gtlgm", g1, Q, cluster_counts=cc, partition=part).probs
     assert dist.probs == pytest.approx((local + glob) / 2, abs=1e-12)
     assert dist.probs == pytest.approx([0.5 * 2 / 3 + 0.5 * 0.8,
                                         0.5 / 3 + 0.5 * 0.2], abs=1e-12)
@@ -234,7 +234,8 @@ def test_stlgm_equal_evidence_is_midpoint(g1):
 
 def test_stlgm_default_mu_value(g1):
     counts, cc, part = _g1_setup(g1, K=1)
-    dist = predict_stlgm(g1, counts, cc, part, Q, SmoothingConfig(mu=4.0))
+    dist = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                   config=SmoothingConfig(mu=4.0))
     lam = 4.0 / 7.0
     want = (1 - lam) * np.array([2 / 3, 1 / 3]) + lam * np.array([0.8, 0.2])
     assert dist.probs == pytest.approx(want, abs=1e-12)
@@ -242,9 +243,10 @@ def test_stlgm_default_mu_value(g1):
 
 def test_stlgm_mu_monotone_toward_global(g1):
     counts, cc, part = _g1_setup(g1, K=1)
-    prev = predict_ltlgm(g1, counts, Q).probs[0]
+    prev = predict("ltlgm", g1, Q, counts=counts).probs[0]
     for mu in (0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 128.0):
-        cur = predict_stlgm(g1, counts, cc, part, Q, SmoothingConfig(mu=mu)).probs[0]
+        cur = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                      config=SmoothingConfig(mu=mu)).probs[0]
         assert cur >= prev - 1e-12      # global term is larger on label 0
         prev = cur
     assert prev <= 0.8 + 1e-12
@@ -257,8 +259,8 @@ def test_stlgm_local_gap_goes_global():
     counts = build_precomputed_nam(g)
     part = Partition.from_assignment(g, [0] * 5, K=1)
     cc = ClusterCounts.from_partition(g, part)
-    dist = predict_stlgm(g, counts, cc, part, PredictionQuery(0, 1),
-                         SmoothingConfig(mu=0.0), collect_support=True)
+    dist = predict("stlgm", g, PredictionQuery(0, 1), counts=counts, cluster_counts=cc,
+                   partition=part, config=SmoothingConfig(mu=0.0), collect_support=True)
     assert dist.defined
     used = {e["head"]: e["used"] for e in dist.support}
     assert used[4] == "global"
@@ -267,13 +269,13 @@ def test_stlgm_local_gap_goes_global():
 def test_scgm_mu_limits(g1):
     counts, cc, part = _g1_setup(g1, K=1)
     base = SmoothingConfig(lcgm_floor_alpha=0.0)
-    lo = predict_scgm(g1, counts, cc, part, Q,
-                      SmoothingConfig(mu=1e-9, lcgm_floor_alpha=0.0))
-    want = predict_lcgm(g1, counts, Q, base)
+    lo = predict("scgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                 config=SmoothingConfig(mu=1e-9, lcgm_floor_alpha=0.0))
+    want = predict("lcgm", g1, Q, counts=counts, config=base)
     assert lo.probs == pytest.approx(want.probs, abs=1e-6)
-    hi = predict_scgm(g1, counts, cc, part, Q,
-                      SmoothingConfig(mu=1e9, lcgm_floor_alpha=0.0))
-    want_g = predict_gcgm(g1, cc, part, Q, base)
+    hi = predict("scgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                 config=SmoothingConfig(mu=1e9, lcgm_floor_alpha=0.0))
+    want_g = predict("gcgm", g1, Q, cluster_counts=cc, partition=part, config=base)
     assert hi.probs == pytest.approx(want_g.probs, abs=1e-6)
 
 
@@ -288,15 +290,17 @@ def test_scgm_no_local_samples_is_fully_global():
     cc = ClusterCounts.from_partition(g, part)
     q = PredictionQuery(0, 1)
     cfg = SmoothingConfig(mu=2.0, lambda_mode="paper", lcgm_floor_alpha=0.0)
-    got = predict_scgm(g, counts, cc, part, q, cfg)
-    want = predict_gcgm(g, cc, part, q, SmoothingConfig(lcgm_floor_alpha=0.0))
+    got = predict("scgm", g, q, counts=counts, cluster_counts=cc, partition=part, config=cfg)
+    want = predict("gcgm", g, q, cluster_counts=cc, partition=part,
+                   config=SmoothingConfig(lcgm_floor_alpha=0.0))
     assert got.defined
     assert got.probs == pytest.approx(want.probs, abs=1e-12)
 
 
 def test_scgm_empty_context_returns_prior(g1):
     counts, cc, part = _g1_setup(g1, K=1)
-    dist = predict_scgm(g1, counts, cc, part, PredictionQuery(J, I), SmoothingConfig())
+    dist = predict("scgm", g1, PredictionQuery(J, I), counts=counts, cluster_counts=cc,
+                   partition=part, config=SmoothingConfig())
     assert dist.defined and dist.probs == pytest.approx([0.5, 0.5])
 
 
@@ -322,21 +326,23 @@ def test_all_models_match_oracle(seed, n_labels):
             if i == j:
                 continue
             q = PredictionQuery(i, j)
-            _oracle_check(predict_ltlgm(g, counts, q),
+            _oracle_check(predict("ltlgm", g, q, counts=counts),
                           *oracles.ltlgm(edges, n, L, i, j))
             for alpha in (0.0, 1.0):
                 cfg = SmoothingConfig(lcgm_floor_alpha=alpha)
-                _oracle_check(predict_lcgm(g, counts, q, cfg),
+                _oracle_check(predict("lcgm", g, q, counts=counts, config=cfg),
                               *oracles.lcgm(edges, n, L, i, j, alpha))
-                _oracle_check(predict_gcgm(g, cc, part, q, cfg),
+                _oracle_check(predict("gcgm", g, q, cluster_counts=cc, partition=part, config=cfg),
                               *oracles.gcgm(edges, asg, n, K, L, i, j, alpha))
-            _oracle_check(predict_gtlgm(g, cc, part, q),
+            _oracle_check(predict("gtlgm", g, q, cluster_counts=cc, partition=part),
                           *oracles.gtlgm(edges, asg, n, K, L, i, j))
             for mode in ("support", "paper"):
                 cfg = SmoothingConfig(mu=mu, lambda_mode=mode, lcgm_floor_alpha=0.0)
-                _oracle_check(predict_stlgm(g, counts, cc, part, q, cfg),
+                _oracle_check(predict("stlgm", g, q, counts=counts, cluster_counts=cc,
+                                      partition=part, config=cfg),
                               *oracles.stlgm(edges, asg, n, K, L, i, j, mu, mode))
-                _oracle_check(predict_scgm(g, counts, cc, part, q, cfg),
+                _oracle_check(predict("scgm", g, q, counts=counts, cluster_counts=cc,
+                                      partition=part, config=cfg),
                               *oracles.scgm(edges, asg, n, K, L, i, j, mu, mode))
 
 
@@ -354,12 +360,14 @@ def test_defined_outputs_are_normalized():
                     continue
                 q = PredictionQuery(i, j)
                 for dist in (
-                    predict_ltlgm(g, counts, q),
-                    predict_lcgm(g, counts, q, cfg),
-                    predict_gtlgm(g, cc, part, q),
-                    predict_gcgm(g, cc, part, q, cfg),
-                    predict_stlgm(g, counts, cc, part, q, cfg),
-                    predict_scgm(g, counts, cc, part, q, cfg),
+                    predict("ltlgm", g, q, counts=counts),
+                    predict("lcgm", g, q, counts=counts, config=cfg),
+                    predict("gtlgm", g, q, cluster_counts=cc, partition=part),
+                    predict("gcgm", g, q, cluster_counts=cc, partition=part, config=cfg),
+                    predict("stlgm", g, q, counts=counts, cluster_counts=cc, partition=part,
+                            config=cfg),
+                    predict("scgm", g, q, counts=counts, cluster_counts=cc, partition=part,
+                            config=cfg),
                 ):
                     if dist.defined:
                         assert abs(float(dist.probs.sum()) - 1.0) < 1e-9
@@ -380,7 +388,8 @@ def test_predict_dispatcher_validates(g1):
     with pytest.raises(ValueError, match="partition"):
         predict("stlgm", g1, Q, counts=counts)
     got = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part)
-    want = predict_stlgm(g1, counts, cc, part, Q, SmoothingConfig())
+    want = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                   config=SmoothingConfig())
     assert got.probs == pytest.approx(want.probs)
     assert predict("prior", g1, Q).probs == pytest.approx([6 / 7, 1 / 7])
 
@@ -398,9 +407,11 @@ def test_smoothing_config_validation():
 
 def test_support_collection(g1):
     counts, cc, part = _g1_setup(g1, K=1)
-    dist = predict_stlgm(g1, counts, cc, part, Q, SmoothingConfig(), collect_support=True)
+    dist = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                   config=SmoothingConfig(), collect_support=True)
     assert dist.support is not None and len(dist.support) == 1
     entry = dist.support[0]
     assert entry["head"] == 2 and entry["n_local"] == 3 and entry["used"] == "blend"
-    plain = predict_stlgm(g1, counts, cc, part, Q, SmoothingConfig())
+    plain = predict("stlgm", g1, Q, counts=counts, cluster_counts=cc, partition=part,
+                    config=SmoothingConfig())
     assert plain.support is None

@@ -30,7 +30,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .clustering import ClusterConfig, cluster, read_partition, write_partition
 from .counts import (BudgetExceededError, ClusterCounts, CooccurrenceCounts,
                      apply_edge_batch, build_precomputed_nam,
                      save_cam_snapshot, save_nam_snapshot)
-from .evaluation import evaluate, make_folds, param_sample_cdf, sparsity_sweep
+from .evaluation import config_echo, evaluate, make_folds, param_sample_cdf, sparsity_sweep
 from .graph import (EdgeListParseError, LoadOptions, PredictionQuery,
                     graph_stats, load_edge_list, write_edge_list)
 from .predictors import (CLUSTER_KINDS, LOCAL_KINDS, MODEL_KINDS,
@@ -105,7 +104,7 @@ def _partition_for(args, graph):
 def _cmd_stats(args):
     graph, report = _load(args)
     stats = graph_stats(graph, report)
-    meta = _meta("stats", args, {"input": args.input}, {})
+    meta = _meta("stats", args, {"input": args.input}, config_echo())
     records = [meta, {"record": "stats", **stats}]
     human = [
         f"nodes {stats['nodes']}  edges {stats['edges']}",
@@ -138,7 +137,7 @@ def _cmd_cluster(args):
     graph, _ = _load(args)
     cfg = _cluster_config(args)
     part, trace = cluster(graph, cfg)
-    meta = _meta("cluster", args, {"input": args.input}, {"clustering": asdict(cfg)})
+    meta = _meta("cluster", args, {"input": args.input}, config_echo(cluster_config=cfg))
     records = [meta]
     for sweep, phi, moves in trace:
         records.append({"record": "sweep", "sweep": sweep, "phi": phi, "moves": moves})
@@ -179,17 +178,16 @@ def _cmd_predict(args):
     queries = _read_queries(args.queries, graph)
     mcfg = _smoothing_config(args)
     counts = CooccurrenceCounts.on_demand(graph) if kind in LOCAL_KINDS else None
-    partition = cluster_counts = None
-    config_echo = {"model": kind, **asdict(mcfg)}
+    partition = cluster_counts = ccfg = None
     if kind in CLUSTER_KINDS:
         partition = _partition_for(args, graph)
         cluster_counts = ClusterCounts.from_partition(graph, partition)
         if not args.partition_file:
-            config_echo["clustering"] = asdict(_cluster_config(args))
+            ccfg = _cluster_config(args)
     inputs = {"input": args.input, "queries": args.queries}
     if args.partition_file:
         inputs["partition"] = args.partition_file
-    meta = _meta("predict", args, inputs, config_echo)
+    meta = _meta("predict", args, inputs, config_echo(mcfg, ccfg, model=kind))
     prior = class_prior(graph)
     names = graph.alphabet.names
     records = [meta]
@@ -229,9 +227,8 @@ def _cmd_evaluate(args):
     ccfg = _cluster_config(args) if kind in CLUSTER_KINDS else None
     report = evaluate(graph, kind, mcfg, ccfg, plan,
                       reuse_clustering=args.reuse_clustering, threads=args.threads)
-    config_echo = dict(report.config)
-    config_echo["stratified"] = bool(args.stratified)
-    meta = _meta("evaluate", args, {"input": args.input}, config_echo)
+    meta = _meta("evaluate", args, {"input": args.input},
+                 {**report.config, "stratified": bool(args.stratified)})
     _emit([meta] + report.to_records(),
           report.human_table(graph.alphabet.names).splitlines(), args.output)
     return 0
@@ -248,11 +245,8 @@ def _cmd_sweep(args):
     ccfg = _cluster_config(args) if any(m in CLUSTER_KINDS for m in models) else None
     records = sparsity_sweep(graph, densities, models, mcfg, ccfg,
                              folds=args.folds, seed=args.seed, threads=args.threads)
-    config_echo = {"models": models, "densities": densities, "folds": args.folds,
-                   **asdict(mcfg)}
-    if ccfg is not None:
-        config_echo["clustering"] = asdict(ccfg)
-    meta = _meta("sweep", args, {"input": args.input}, config_echo)
+    meta = _meta("sweep", args, {"input": args.input},
+                 config_echo(mcfg, ccfg, models=models, densities=densities, folds=args.folds))
     human = [f"{'density':>8} {'model':>8} {'bal.acc':>9} {'fallback':>9}"]
     for r in records:
         human.append(f"{r['density']:>8.2f} {r['model']:>8} "
@@ -267,8 +261,7 @@ def _cmd_samples_cdf(args):
     plan = make_folds(graph, args.folds, args.seed)
     result = param_sample_cdf(graph, plan, args.model, thresholds)
     meta = _meta("samples-cdf", args, {"input": args.input},
-                 {"model": result["model"], "thresholds": thresholds,
-                  "folds": args.folds})
+                 config_echo(model=result["model"], thresholds=thresholds, folds=args.folds))
     records = [meta, {"record": "summary", "model": result["model"],
                       "total_parameters": result["total_parameters"]}]
     human = [f"model {result['model']}: {result['total_parameters']} parameters"]
@@ -308,11 +301,10 @@ def _cmd_update(args):
     inputs = {"input": args.input, "batch": args.batch}
     if args.partition_file:
         inputs["partition"] = args.partition_file
-    config_echo = {"nam_budget": args.nam_budget,
-                   "auto_intern": not args.no_intern}
-    if not args.partition_file:
-        config_echo["clustering"] = asdict(_cluster_config(args))
-    meta = _meta("update", args, inputs, config_echo)
+    ccfg = None if args.partition_file else _cluster_config(args)
+    meta = _meta("update", args, inputs,
+                 config_echo(cluster_config=ccfg, nam_budget=args.nam_budget,
+                             auto_intern=not args.no_intern))
     records = [meta, {
         "record": "batch",
         "added": breport.added, "relabeled": breport.relabeled,

@@ -23,19 +23,24 @@ A_l the adjacency matrix restricted to label l, so one pass over the CSR
 arrays per block of receivers yields the counts of every context entry of
 every query into those receivers.
 
-The precomputed node-level table and the cluster table can be kept in sync
-with a live edge stream through ``apply_edge_batch``. The node table costs
-O(out-degree of the tail) per changed edge, and the cluster table only the
-incidence pairs a changed tail gains or loses. Every batch also merges its
-edges into the graph's arrays with the loader's ``normalize_edge_arrays``
-and builds a new ``SignedGraph``, which is O(edges) in numpy: about 6 ms
-for a one-edge batch at 38k edges, 13 ms for 20 edges (2-vCPU Xeon).
+The precomputed node-level table and the cluster table hold one quantity:
+the ordered pairs of each tail's (head, label) and (head, ANY) incidences
+(``_incidence_set``), with heads taken as nodes or as their clusters, keyed
+by the pair alone or prefixed with the tail's cluster. One kernel,
+``_move_incidences``, builds both (a move from no incidences) and keeps
+both in sync with a live edge stream through ``apply_edge_batch``: per
+changed tail, only the pairs of the incidences it gains or loses change.
+Every batch also merges its edges into the graph's arrays with the loader's
+``normalize_edge_arrays`` and builds a new ``SignedGraph``, which is
+O(edges) in numpy: about 6 ms for a one-edge batch at 38k edges, 13 ms for
+20 edges (2-vCPU Xeon).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -83,17 +88,37 @@ def nam_count(graph: SignedGraph, m: int, l: int, n: int, lp: int) -> int:
     return len(a & b)
 
 
-def _bump4(table: dict, h1, l1, h2, l2, sign: int) -> None:
-    # One ordered out-edge pair feeds the concrete key plus its 3 ANY
-    # projections. Decrements prune zeros so the table stays identical to a
-    # fresh build.
-    for k in ((h1, l1, h2, l2), (h1, ANY, h2, l2),
-              (h1, l1, h2, ANY), (h1, ANY, h2, ANY)):
-        v = table.get(k, 0) + sign
-        if v:
-            table[k] = v
-        else:
-            table.pop(k, None)
+def _incidence_set(heads, labels, assignment=None) -> set:
+    """A tail's distinct (head, label) incidences, plus one (head, ANY) per head.
+
+    With ``assignment`` each head is replaced by its cluster. Both count
+    tables count the ordered pairs of these sets.
+    """
+    hs = (heads if assignment is None else assignment[heads]).tolist()
+    d = set(zip(hs, labels.tolist()))
+    d.update(zip(hs, repeat(ANY)))
+    return d
+
+
+def _move_incidences(table: dict, prefix: tuple, old: set, new: set) -> None:
+    """Move one tail's incidence pairs in ``table`` from set ``old`` to ``new``.
+
+    The ordered pair (a, b) of a tail's incidence set counts under the key
+    ``prefix + a + b``. Only the pairs with an incidence in ``old ^ new``
+    change. Zeros are pruned so the table stays identical to a fresh build.
+    """
+    for d, gone, sign in ((old, old - new, -1), (new, new - old, +1)):
+        if not gone:
+            continue
+        for a in d:
+            pa = prefix + a
+            for b in (d if a in gone else gone):
+                k = pa + b
+                v = table.get(k, 0) + sign
+                if v:
+                    table[k] = v
+                else:
+                    del table[k]
 
 
 class CooccurrenceCounts:
@@ -136,10 +161,10 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
                           override: bool = False) -> CooccurrenceCounts:
     """Build the full sparse co-pointing table in one pass over tails.
 
-    For each tail node the ordered pairs of its out-edges (self-pairs
-    included) are enumerated and counted under the concrete key and its ANY
-    projections. The enumeration cost is sum(out_degree^2), which is
-    reported on the result and guarded by ``budget``.
+    Each tail adds the ordered pairs of its incidence set (self-pairs
+    included): an ordered out-edge pair counts under the concrete key and
+    its three ANY projections. The enumeration cost is sum(out_degree^2),
+    which is reported on the result and guarded by ``budget``.
 
     Args:
         graph: the graph to index.
@@ -156,15 +181,8 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     if cost > budget and not override:
         raise BudgetExceededError(cost, budget)
     counts = CooccurrenceCounts(graph, "precomputed", table={}, projected_pair_cost=cost)
-    table = counts.table
     for w in range(graph.node_count):
-        heads, labels = graph.out_arrays(w)
-        if heads.size == 0:
-            continue
-        out = list(zip(heads.tolist(), labels.tolist()))
-        for h1, l1 in out:
-            for h2, l2 in out:
-                _bump4(table, h1, l1, h2, l2, +1)
+        _move_incidences(counts.table, (), set(), _incidence_set(*graph.out_arrays(w)))
     return counts
 
 
@@ -283,16 +301,6 @@ def context_evidence(graph: SignedGraph, initiators, receivers, with_counts: boo
 
 # -- cluster-level counts -----------------------------------------------------
 
-def _incidence_set(heads, labels, assignment) -> set:
-    """Distinct (head cluster, label) incidences of one node's out-edges, plus ANY."""
-    d = set()
-    for h, l in zip(heads.tolist(), labels.tolist()):
-        c = int(assignment[h])
-        d.add((c, l))
-        d.add((c, ANY))
-    return d
-
-
 class ClusterCounts:
     """Sparse table of cluster-level co-incidence counts.
 
@@ -310,39 +318,16 @@ class ClusterCounts:
     @classmethod
     def from_partition(cls, graph: SignedGraph, partition) -> "ClusterCounts":
         """Build the full table in one pass: each node contributes the ordered
-        pairs of its distinct (target cluster, label) incidences."""
+        pairs of its distinct (target cluster, label) and (target cluster,
+        ANY) incidences."""
         cc = cls(graph, partition, table={})
-        assignment = partition.assignment
-        table = cc.table
-        for v in range(graph.node_count):
-            heads, labels = graph.out_arrays(v)
-            if heads.size == 0:
-                continue
-            s = int(assignment[v])
-            d = list(_incidence_set(heads, labels, assignment))
-            for a in d:
-                for b in d:
-                    k = (s, a[0], a[1], b[0], b[1])
-                    table[k] = table.get(k, 0) + 1
+        asg = partition.assignment
+        for v, s in enumerate(asg.tolist()):
+            _move_incidences(cc.table, (s,), set(), _incidence_set(*graph.out_arrays(v), asg))
         return cc
 
     def count(self, s: int, m: int, l: int, n: int, lp: int) -> int:
         return self.table.get((s, m, l, n, lp), 0)
-
-    def _apply_incidences(self, s: int, old: set, new: set) -> None:
-        # A cluster-s tail's incidence set goes from ``old`` to ``new``: only
-        # the ordered pairs with an incidence in ``old ^ new`` change. Zeros
-        # are pruned so the table stays identical to a fresh build.
-        table = self.table
-        for d, gone, sign in ((old, old - new, -1), (new, new - old, +1)):
-            for a in d:
-                for b in (d if a in gone else gone):
-                    k = (s, a[0], a[1], b[0], b[1])
-                    v = table.get(k, 0) + sign
-                    if v:
-                        table[k] = v
-                    else:
-                        table.pop(k, None)
 
 
 @lru_cache(maxsize=None)
@@ -469,8 +454,8 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     (largest cluster when edge-free).
 
     The cost is O(edges) in numpy for the merged graph, plus Python work
-    per changed edge: O(out-degree of its tail) node-table updates and the
-    cluster-table pairs of the incidences its tail gains or loses.
+    per changed tail: in both tables, the pairs of the incidences it gains
+    or loses.
 
     The caller must hold exclusive access: ``counts``, ``cluster_counts``
     and its partition are mutated in place and rebound to the returned
@@ -561,37 +546,6 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
         raise ValueError(f"pair count for {(int(c), int(d))} label {int(l)} would go "
                          f"negative: the partition does not match the graph")
 
-    # Phase 2: node-level table, one retract/add per changed pair against the
-    # evolving out-adjacency of its tail (cost O(out_degree) per edge).
-    if counts.strategy == "precomputed":
-        table = counts.table
-        out_nbrs: dict = {}
-
-        def nbrs_of(u):
-            d = out_nbrs.get(u)
-            if d is None:
-                if u < n_old:
-                    heads, labels = graph.out_arrays(u)
-                    d = dict(zip(heads.tolist(), labels.tolist()))
-                else:
-                    d = {}
-                out_nbrs[u] = d
-            return d
-
-        for u, v, old, label in changes:
-            d = nbrs_of(u)
-            if old >= 0:
-                del d[v]
-                _bump4(table, v, old, v, old, -1)
-                for h, lh in d.items():
-                    _bump4(table, v, old, h, lh, -1)
-                    _bump4(table, h, lh, v, old, -1)
-            _bump4(table, v, label, v, label, +1)
-            for h, lh in d.items():
-                _bump4(table, v, label, h, lh, +1)
-                _bump4(table, h, lh, v, label, +1)
-            d[v] = label
-
     # Phase 3a: partition pair counts for changed edges between existing nodes.
     for u, v, old, label in changes:
         if u < n_old and v < n_old:
@@ -621,13 +575,16 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
             for u, v, label in ready:       # w's own cluster is now best
                 partition.add_edge_count(int(assignment[u]), int(assignment[v]), label, +1)
 
-    # Phase 4: cluster-level table, per changed tail: move its incidence
-    # pairs from the old incidence set to the new one (final assignment).
-    assignment = partition.assignment
+    # Phase 4: both tables, per changed tail: move its incidence pairs from
+    # its old out-edges to its new ones (clusters from the final assignment).
+    assignment, no_edges = partition.assignment, (b_src[:0], b_lbl[:0])
     for u in {u for u, _, _, _ in changes}:
-        old_d = _incidence_set(*graph.out_arrays(u), assignment) if u < n_old else set()
-        new_d = _incidence_set(*new_graph.out_arrays(u), assignment)
-        cluster_counts._apply_incidences(int(assignment[u]), old_d, new_d)
+        before = graph.out_arrays(u) if u < n_old else no_edges
+        after = new_graph.out_arrays(u)
+        if counts.strategy == "precomputed":
+            _move_incidences(counts.table, (), _incidence_set(*before), _incidence_set(*after))
+        _move_incidences(cluster_counts.table, (int(assignment[u]),),
+                         _incidence_set(*before, assignment), _incidence_set(*after, assignment))
 
     counts.graph = new_graph
     cluster_counts.graph = new_graph

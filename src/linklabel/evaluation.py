@@ -254,14 +254,22 @@ def evaluate(graph: SignedGraph, model_kind: str,
         fallback_rate=float(fallback_count / total),
         fallback_count=fallback_count,
         test_edges=total, per_fold=per_fold,
-        config=_config_echo(kind, model_config, cluster_config, fold_plan, reuse_clustering),
+        config=config_echo(model_config, cluster_config, model=kind, folds=fold_plan.k,
+                           fold_seed=fold_plan.seed, reuse_clustering=bool(reuse_clustering)),
     )
     return report
 
 
-def _config_echo(kind, model_config, cluster_config, fold_plan, reuse_clustering) -> dict:
-    echo = {"model": kind, **asdict(model_config), "folds": fold_plan.k,
-            "fold_seed": fold_plan.seed, "reuse_clustering": bool(reuse_clustering)}
+def config_echo(model_config: Optional[SmoothingConfig] = None,
+                cluster_config: Optional[ClusterConfig] = None, **fields) -> dict:
+    """The resolved configuration that reports and CLI artifacts echo.
+
+    ``fields``, then every smoothing setting at top level, then the
+    clustering settings under "clustering"; absent configs are left out.
+    """
+    echo = dict(fields)
+    if model_config is not None:
+        echo.update(asdict(model_config))
     if cluster_config is not None:
         echo["clustering"] = asdict(cluster_config)
     return echo

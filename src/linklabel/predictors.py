@@ -195,12 +195,18 @@ def decide_many(probs: np.ndarray, defined: np.ndarray, prior: LabelDistribution
     return np.asarray(order)[np.argmax(top[:, order], axis=1)], ~defined
 
 
-def _checked_kind(model_kind: str, cluster_counts, partition) -> str:
+def _checked_kind(model_kind: str, graph, counts, cluster_counts, partition) -> str:
+    # The partition may be bound to another graph over the same nodes
+    # (``evaluate(reuse_clustering=True)``); the counts may not.
     kind = model_kind.lower()
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
     if kind in CLUSTER_KINDS and (cluster_counts is None or partition is None):
         raise ValueError(f"model {kind} needs a partition and cluster-level counts")
+    if counts is not None and counts.graph is not graph:
+        raise ValueError("counts must count over the same graph")
+    if cluster_counts is not None and cluster_counts.graph is not graph:
+        raise ValueError("cluster counts must count over the same graph")
     return kind
 
 
@@ -211,13 +217,14 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
             collect_support: bool = False) -> LabelDistribution:
     """Answer one query with the model of the given kind.
 
-    Validates that the components the kind requires are present. The
-    "prior" kind ignores the query and returns the training class prior.
+    Validates that the components the kind requires are present and that
+    any counts given count over ``graph``. The "prior" kind ignores the
+    query and returns the training class prior.
     Node-level counts are read through ``counts.count``, so a precomputed or
     stream-updated table serves them; the answer equals ``predict_many``'s
     for the same query.
     """
-    kind = _checked_kind(model_kind, cluster_counts, partition)
+    kind = _checked_kind(model_kind, graph, counts, cluster_counts, partition)
     config = config or SmoothingConfig()
     if kind in LOCAL_KINDS and counts is None:
         raise ValueError(f"model {kind} needs node-level counts")
@@ -277,16 +284,15 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
     Args:
         counts: optional, since the node-level counts are taken from
             ``graph``; when given it must count over ``graph`` itself.
-        cluster_counts, partition: required for the cluster-backed kinds.
+        cluster_counts, partition: required for the cluster-backed kinds;
+            the cluster counts must count over ``graph``.
         config: smoothing settings (defaults if None).
 
     Returns:
         (probs, defined): probs is (Q, L) with NaN rows where the answer is
         undefined; defined is a (Q,) bool array.
     """
-    kind = _checked_kind(model_kind, cluster_counts, partition)
-    if counts is not None and counts.graph is not graph:
-        raise ValueError("counts must count over the same graph")
+    kind = _checked_kind(model_kind, graph, counts, cluster_counts, partition)
     config = config or SmoothingConfig()
     initiators = np.asarray(initiators, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)

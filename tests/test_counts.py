@@ -166,6 +166,25 @@ def test_cluster_table_matches_scan_and_oracle():
                             assert got == oracle(s, m, la, nn, lb)
 
 
+@pytest.mark.parametrize("graph_of", [lambda: SignedGraph.from_edges(6, G1_EDGES),
+                                      lambda: random_graph(0)[0],
+                                      lambda: random_graph(5, n=25, n_labels=3)[0]],
+                         ids=["g1", "random0", "random5"])
+def test_identity_partition_cluster_table_sums_to_node_table(graph_of):
+    # With one node per cluster a head's cluster is the head itself, so
+    # summing the cluster table over the tail's cluster s gives the node
+    # table, key for key, ANY keys included.
+    g = graph_of()
+    n = g.node_count
+    cc = ClusterCounts.from_partition(g, Partition.from_assignment(g, np.arange(n), n))
+    summed: dict = {}
+    for (_, m, l, nn, lp), c in cc.table.items():
+        summed[(m, l, nn, lp)] = summed.get((m, l, nn, lp), 0) + c
+    table = build_precomputed_nam(g).table
+    assert any(k[1] == ANY for k in table) and any(k[1] != ANY for k in table)
+    assert summed == table
+
+
 # -- snapshots ---------------------------------------------------------------------
 
 def _snapshot_items(path, header, meta, fields):

@@ -233,6 +233,37 @@ def test_predict_many_validates():
     assert defined.all() and np.array_equal(probs[1], class_prior(g).probs)
 
 
+def test_counts_rebound_by_a_batch_are_refused_for_the_old_graph():
+    # A stream batch rebinds both tables to the merged graph, so they no
+    # longer count over the graph the caller held before the batch.
+    graph, roles = generate_planted(40, 3, 0.2, 0.1, seed=0)
+    counts = counts_mod.build_precomputed_nam(graph)
+    part = Partition.from_assignment(graph, roles, 3)
+    cc = ClusterCounts.from_partition(graph, part)
+    src, dst, lbl = (a[:30].tolist() for a in graph.edge_arrays)
+    ext = graph.external_of
+    batch = [(ext(u), ext(v), 1 - l) for u, v, l in zip(src, dst, lbl)]
+    new_graph, report = counts_mod.apply_edge_batch(counts, cc, graph, batch)
+    assert report.relabeled == 30
+    i, j = [0] * 39, list(range(1, 40))
+    with pytest.raises(ValueError, match="^counts must count over the same graph"):
+        predict("ltlgm", graph, PredictionQuery(0, 1), counts=counts)
+    for kind in ("gtlgm", "stlgm"):
+        with pytest.raises(ValueError, match="^cluster counts must count over the same graph"):
+            predict(kind, graph, PredictionQuery(0, 1), counts=CooccurrenceCounts.on_demand(graph),
+                    cluster_counts=cc, partition=part)
+        with pytest.raises(ValueError, match="^cluster counts must count over the same graph"):
+            predict_many(kind, graph, i, j, cluster_counts=cc, partition=part)
+    # On the merged graph the stream-updated tables answer like fresh ones.
+    fresh = ClusterCounts.from_partition(new_graph, part)
+    for kind in ("ltlgm", "stlgm"):
+        want, _ = predict_many(kind, new_graph, i, j, cluster_counts=fresh, partition=part)
+        got = [predict(kind, new_graph, PredictionQuery(a, b), counts=counts,
+                       cluster_counts=cc, partition=part) for a, b in zip(i, j)]
+        got = [d.probs if d.defined else np.full(2, np.nan) for d in got]
+        assert np.array_equal(np.array(got), want, equal_nan=True)
+
+
 @pytest.mark.parametrize("kind", ["ltlgm", "lcgm", "stlgm", "scgm"])
 def test_evaluate_equals_scalar_loop(kind):
     graph, _ = generate_planted(60, 3, 0.2, 0.1, seed=4)

@@ -122,6 +122,26 @@ class Partition:
         self._edges += delta
         self.pair_weights[c, d] = _pair_weights(self.pair_counts[c, d], _xlog2x(self._edges))
 
+    def add_edge_counts(self, c, d, label, delta) -> None:
+        """Shift many (cluster pair, label) counts at once; all or nothing.
+
+        Counts and weights come out bit-identical to one ``add_edge_count``
+        per entry, in any order: each touched pair's weight is recomputed
+        once, from its final counts.
+        """
+        K, L = self.K, self._L
+        c, d, label, delta = (np.asarray(a, dtype=np.int64) for a in (c, d, label, delta))
+        if np.any((c < 0) | (c >= K) | (d < 0) | (d >= K) | (label < 0) | (label >= L)):
+            raise ValueError("pair or label out of range")
+        counts = self.pair_counts.copy()
+        np.add.at(counts, (c, d, label), delta)
+        if np.any(counts < 0):
+            raise ValueError("a pair count would go negative")
+        self.pair_counts[...] = counts
+        self._edges += int(delta.sum())
+        tc, td = np.divmod(np.unique(c * K + d), K)
+        self.pair_weights[tc, td] = _pair_weights(counts[tc, td].T, _xlog2x(self._edges))
+
     def _ordered_deltas(self, cell, change, skip, added: int = 0) -> np.ndarray:
         """Per candidate (grid row), the objective change of shifting the
         counts of flat pairs ``cell`` (c * K + d) by ``change`` (label axis

@@ -5,8 +5,8 @@ Two count families are provided:
 * node-level: how many nodes point at both of two given nodes with given
   labels (intersection sizes of in-neighborhood tail sets), served on
   demand from the graph's one in-adjacency index (split by label), or from
-  a precomputed sparse table, which ``apply_edge_batch`` keeps current
-  under an edge stream and which can be exported as a snapshot;
+  a precomputed store, which ``apply_edge_batch`` keeps current under an
+  edge stream and which can be exported as a snapshot;
 * cluster-level: given a partition, how many nodes of one cluster have at
   least one edge into each of two given clusters with given labels.
 
@@ -23,21 +23,35 @@ A_l the adjacency matrix restricted to label l, so one pass over the CSR
 arrays per block of receivers yields the counts of every context entry of
 every query into those receivers.
 
-The precomputed node-level table and the cluster table hold one quantity:
-the ordered pairs of each tail's (head, label) and (head, ANY) incidences
-(``_incidence_set``), with heads taken as nodes or as their clusters, keyed
-by the pair alone or prefixed with the tail's cluster. One kernel,
-``_move_incidences``, builds both (a move from no incidences) and keeps
-both in sync with a live edge stream through ``apply_edge_batch``: per
-changed tail, only the pairs of the incidences it gains or loses change.
-Every batch also merges its edges into the graph's arrays with the loader's
+The precomputed node-level store (``NodeCountStore``) holds concrete keys
+only, (m, l, n, lp) with both labels real, as sorted ``int64`` codes
+((m * L + l) * N + n) * L + lp with ``int64`` counts: 16 bytes per entry.
+Every ANY count is derived by summing over labels, which is exact at node
+level. It is built in one vectorized pass over every tail's ordered
+out-edge pairs (``_pair_codes``, then ``np.unique``) and read with
+``searchsorted``; ``CooccurrenceCounts.table`` shows it as a read-only
+mapping over all four key families. A stream batch adds each changed
+tail's pair delta: counts of keys already present change in place and new
+keys go into a small sorted pending run, which every read also searches
+and which is merged into the main run only when it outgrows a fixed
+fraction of it (the log-structured merge of O'Neil et al., Acta
+Informatica 33, 1996). On the 2,000-node, 34k-edge serve-stream graph the
+store holds 0.57M entries (9 MB) after a ~0.04 s build and 0.78M after 315
+stream batches, against 2.23M and 3.04M entries of the dict it replaced.
+
+The cluster table holds the ordered pairs of each tail's (cluster, label)
+and (cluster, ANY) incidences (``_incidence_set``), keyed with the tail's
+cluster in front. One kernel, ``_move_incidences``, builds it (a move from
+no incidences) and keeps it in sync with a live edge stream: per changed
+tail, only the pairs of the incidences it gains or loses change. Every
+batch also merges its edges into the graph's arrays with the loader's
 ``normalize_edge_arrays`` and builds a new ``SignedGraph``, which is
-O(edges) in numpy: about 6 ms for a one-edge batch at 38k edges, 13 ms for
-20 edges (2-vCPU Xeon).
+O(edges) in numpy.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -88,55 +102,210 @@ def nam_count(graph: SignedGraph, m: int, l: int, n: int, lp: int) -> int:
     return len(a & b)
 
 
-def _incidence_set(heads, labels, assignment=None) -> set:
-    """A tail's distinct (head, label) incidences, plus one (head, ANY) per head.
+def _ranges(lo, hi):
+    """Concatenated index ranges ``lo[k]:hi[k]``: (indices, k of each index)."""
+    lens = hi - lo
+    owner = np.repeat(np.arange(lens.size), lens)
+    starts = np.cumsum(lens) - lens
+    return lo[owner] + (np.arange(owner.size) - starts[owner]), owner
 
-    With ``assignment`` each head is replaced by its cluster. Both count
-    tables count the ordered pairs of these sets.
+
+def _sum_by_code(codes, vals):
+    """The distinct ``codes``, sorted, with the sum of ``vals`` at each."""
+    if not codes.size:
+        return codes, vals
+    order = np.argsort(codes, kind="stable")
+    codes, vals = codes[order], vals[order]
+    start = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[start], np.add.reduceat(vals, start)
+
+
+def _find(run, codes):
+    """(position, present) of each of ``codes`` in the sorted ``run``."""
+    if not run.size:
+        return np.zeros(codes.shape, dtype=np.intp), np.zeros(codes.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(run, codes), run.size - 1)
+    return pos, run[pos] == codes
+
+
+#: The pending run of a ``NodeCountStore`` is merged into its main run once
+#: it holds more than this fraction of the main run's entries.
+MERGE_FRACTION = 1 / 32
+
+
+class NodeCountStore:
+    """Concrete node-level counts as sorted ``int64`` codes with ``int64`` counts.
+
+    The key (m, l, n, lp), labels real, has the code ((m * L + l) * N + n) *
+    L + lp for N nodes, so code order is key order and ``renumber`` keeps it
+    when nodes are added. Entries live in two sorted runs that never share
+    a code: the main run, and a small pending run that takes the keys a
+    stream batch adds. A read searches both. An update changes present keys
+    in place, zeros included; zeros are dropped only when the pending run
+    outgrows ``MERGE_FRACTION`` of the main run and the two are merged.
     """
-    hs = (heads if assignment is None else assignment[heads]).tolist()
-    d = set(zip(hs, labels.tolist()))
-    d.update(zip(hs, repeat(ANY)))
-    return d
+
+    def __init__(self, node_count: int, L: int, codes: np.ndarray, vals: np.ndarray):
+        self.N, self.L = int(node_count), int(L)
+        self.codes, self.vals = codes, vals
+        self.pending_codes = self.pending_vals = np.empty(0, dtype=np.int64)
+        self.merges = 0
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.codes, self.vals,
+                                      self.pending_codes, self.pending_vals))
+
+    def encode(self, m, l, n, lp):
+        """Codes of the concrete keys (m, l, n, lp), broadcast over arrays."""
+        return ((np.asarray(m, dtype=np.int64) * self.L + l) * self.N + n) * self.L + lp
+
+    def get(self, codes) -> np.ndarray:
+        """The counts at ``codes``, 0 where absent."""
+        out = np.zeros(codes.shape, dtype=np.int64)
+        for run, vals in ((self.codes, self.vals), (self.pending_codes, self.pending_vals)):
+            pos, hit = _find(run, codes)
+            out[hit] = vals[pos[hit]]
+        return out
+
+    def count(self, m: int, l: int, n: int, lp: int) -> int:
+        """count(m, l, n, lp); an ANY label sums over its labels, a key out of range is 0."""
+        N, L = self.N, self.L
+        if not (0 <= m < N and 0 <= n < N and ANY <= l < L and ANY <= lp < L):
+            return 0
+        total = 0
+        for a in (range(L) if l == ANY else (l,)):
+            row = ((m * L + a) * N + n) * L
+            for b in (range(L) if lp == ANY else (lp,)):
+                code = row + b
+                for run, vals in ((self.codes, self.vals),
+                                  (self.pending_codes, self.pending_vals)):
+                    i = run.searchsorted(code)
+                    if i < run.size and run[i] == code:
+                        total += int(vals[i])
+                        break
+        return total
+
+    def add(self, codes: np.ndarray, deltas: np.ndarray) -> None:
+        """Add ``deltas`` at the distinct sorted ``codes``."""
+        pos, hit = _find(self.codes, codes)
+        self.vals[pos[hit]] += deltas[hit]
+        codes, deltas = codes[~hit], deltas[~hit]
+        if not codes.size:
+            return
+        pos, hit = _find(self.pending_codes, codes)
+        self.pending_vals[pos[hit]] += deltas[hit]
+        at = np.searchsorted(self.pending_codes, codes[~hit])
+        self.pending_codes = np.insert(self.pending_codes, at, codes[~hit])
+        self.pending_vals = np.insert(self.pending_vals, at, deltas[~hit])
+        if self.pending_codes.size > self.codes.size * MERGE_FRACTION:
+            self.codes, self.vals = self.nonzero()
+            self.pending_codes = self.pending_vals = np.empty(0, dtype=np.int64)
+            self.merges += 1
+
+    def nonzero(self):
+        """(codes, counts) of the nonzero entries of both runs, sorted."""
+        at = np.searchsorted(self.codes, self.pending_codes)
+        codes = np.insert(self.codes, at, self.pending_codes)
+        vals = np.insert(self.vals, at, self.pending_vals)
+        keep = vals != 0
+        return codes[keep], vals[keep]
+
+    def renumber(self, node_count: int) -> None:
+        """Re-encode every code for ``node_count`` nodes (at least N); order is kept."""
+        old, new = self.N * self.L, int(node_count) * self.L
+        if new != old:
+            for name in ("codes", "pending_codes"):
+                q, r = np.divmod(getattr(self, name), old)
+                setattr(self, name, q * new + r)
+            self.N = int(node_count)
 
 
-def _move_incidences(table: dict, prefix: tuple, old: set, new: set) -> None:
-    """Move one tail's incidence pairs in ``table`` from set ``old`` to ``new``.
+def _pair_codes(graph: SignedGraph, tails, N: int) -> np.ndarray:
+    """Codes (for N nodes) of the ordered pairs of each tail's out-edges, self-pairs included."""
+    out_ptr, heads, labels, _, _ = graph.csr()
+    L = graph.alphabet.size
+    lo, hi = out_ptr[tails], out_ptr[tails + 1]
+    a, k = _ranges(lo, hi)              # every out-edge, with its tail's index
+    b, i = _ranges(lo[k], hi[k])        # per out-edge a, every out-edge of its tail
+    a = a[i]
+    return ((heads[a] * L + labels[a]) * N + heads[b]) * L + labels[b]
 
-    The ordered pair (a, b) of a tail's incidence set counts under the key
-    ``prefix + a + b``. Only the pairs with an incidence in ``old ^ new``
-    change. Zeros are pruned so the table stays identical to a fresh build.
+
+class NodeTableView(Mapping):
+    """Read-only ``(m, l, n, lp) -> count`` mapping of a precomputed store.
+
+    It holds the nonzero counts of all four key families, ANY = -1
+    included, and nothing else. Iteration and ``items()`` decode in bulk;
+    each use rebuilds the ANY families from the store, so it costs a sort
+    of four times the concrete entries.
     """
-    for d, gone, sign in ((old, old - new, -1), (new, new - old, +1)):
-        if not gone:
-            continue
-        for a in d:
-            pa = prefix + a
-            for b in (d if a in gone else gone):
-                k = pa + b
-                v = table.get(k, 0) + sign
-                if v:
-                    table[k] = v
-                else:
-                    del table[k]
+
+    def __init__(self, store: NodeCountStore):
+        self._store = store
+
+    def __getitem__(self, key):
+        try:
+            c = self._store.count(*key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if not c:
+            raise KeyError(key)
+        return c
+
+    def _columns(self):
+        # Keys in tuple order: labels stored as label + 1 (ANY = 0), radix L + 1.
+        st = self._store
+        N, L, L1 = st.N, st.L, st.L + 1
+        codes, vals = st.nonzero()
+        ml, nlp = np.divmod(codes, N * L)
+        m, l = np.divmod(ml, L)
+        n, lp = np.divmod(nlp, L)
+        full = np.concatenate([((m * L1 + a) * N + n) * L1 + b
+                               for a in (l + 1, 0) for b in (lp + 1, 0)])
+        full, vals = _sum_by_code(full, np.tile(vals, 4))
+        ml, nlp = np.divmod(full, N * L1)
+        m, l = np.divmod(ml, L1)
+        n, lp = np.divmod(nlp, L1)
+        return m, l - 1, n, lp - 1, vals
+
+    def __iter__(self):
+        return zip(*(c.tolist() for c in self._columns()[:4]))
+
+    def __len__(self) -> int:
+        return int(self._columns()[4].size)
+
+    def items(self):
+        return _BulkItems(self)
+
+
+class _BulkItems(ItemsView):
+    def __iter__(self):
+        *key, vals = self._mapping._columns()
+        return zip(zip(*(c.tolist() for c in key)), vals.tolist())
 
 
 class CooccurrenceCounts:
     """Node-pair co-pointing counts with two interchangeable strategies.
 
     ``on_demand`` answers each query by set intersection over the immutable
-    graph; ``precomputed`` holds a sparse table built by enumerating every
-    tail's ordered out-edge pairs, which also makes incremental stream
-    updates possible.
+    graph; ``precomputed`` holds a ``NodeCountStore`` built by enumerating
+    every tail's ordered out-edge pairs, which also makes incremental stream
+    updates possible. ``table`` is its read-only mapping view (None on
+    demand).
     """
 
-    def __init__(self, graph: SignedGraph, strategy: str, table: Optional[dict] = None,
+    def __init__(self, graph: SignedGraph, strategy: str,
+                 store: Optional[NodeCountStore] = None,
                  projected_pair_cost: Optional[int] = None):
         if strategy not in ("on_demand", "precomputed"):
             raise ValueError(f"unknown strategy {strategy!r}")
+        if (store is None) != (strategy == "on_demand"):
+            raise ValueError("a precomputed strategy needs a store, on_demand none")
         self.graph = graph
         self.strategy = strategy
-        self.table = table if table is not None else ({} if strategy == "precomputed" else None)
+        self.store = store
+        self.table = NodeTableView(store) if store is not None else None
         self.projected_pair_cost = projected_pair_cost
 
     @classmethod
@@ -147,7 +316,37 @@ class CooccurrenceCounts:
         """Exact count for (m, l, n, lp); absent precomputed keys are 0."""
         if self.strategy == "on_demand":
             return nam_count(self.graph, m, l, n, lp)
-        return self.table.get((m, l, n, lp), 0)
+        return self.store.count(m, l, n, lp)
+
+    def query_counts(self, j: int, heads: np.ndarray, labels: np.ndarray, mirrored: bool):
+        """One query's node-level evidence, for context entries (heads, labels).
+
+        Returns ``(num, mir)``: ``num[e, l] = count(j, l, x_e, l_e)`` and,
+        if ``mirrored``, ``mir[e, l] = count(x_e, ANY, j, l)`` (else None).
+        A store reads all of them with one lookup. On demand, an entry's
+        per-label counts split its ANY count, so they are read only where
+        that is positive.
+        """
+        m, L = heads.size, self.graph.alphabet.size
+        if self.strategy == "precomputed":
+            st, lab = self.store, np.arange(L)
+            codes = [st.encode(j, lab, heads[:, None], labels[:, None]).ravel()]
+            if mirrored:        # [e, l2, l]: count(x_e, l2, j, l), summed over l2
+                codes.append(st.encode(heads[:, None, None], lab[:, None], j, lab).ravel())
+            got = st.get(np.concatenate(codes))
+            mir = got[m * L:].reshape(m, L, L).sum(axis=1) if mirrored else None
+            return got[:m * L].reshape(m, L), mir
+        count = self.count
+        entries = list(zip(heads.tolist(), labels.tolist()))
+        anys = [count(j, ANY, x, lx) for x, lx in entries]
+        num = np.array([count(j, l, x, lx) if n else 0
+                        for (x, lx), n in zip(entries, anys) for l in range(L)],
+                       dtype=np.int64).reshape(m, L)
+        mir = None
+        if mirrored:
+            mir = np.array([count(x, ANY, j, l) for x, _ in entries for l in range(L)],
+                           dtype=np.int64).reshape(m, L)
+        return num, mir
 
 
 def projected_pair_cost(graph: SignedGraph) -> int:
@@ -159,12 +358,14 @@ def projected_pair_cost(graph: SignedGraph) -> int:
 
 def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
                           override: bool = False) -> CooccurrenceCounts:
-    """Build the full sparse co-pointing table in one pass over tails.
+    """Build the node-level count store in one vectorized pass over tails.
 
-    Each tail adds the ordered pairs of its incidence set (self-pairs
-    included): an ordered out-edge pair counts under the concrete key and
-    its three ANY projections. The enumeration cost is sum(out_degree^2),
-    which is reported on the result and guarded by ``budget``.
+    Every tail's ordered out-edge pairs (self-pairs included) are encoded
+    with ``_pair_codes`` and counted with one ``np.unique``: the store holds
+    concrete keys only, 16 bytes each, and derives every ANY count by
+    summing over labels. The enumeration cost is sum(out_degree^2), which
+    is reported on the result and guarded by ``budget``. At 2,000 nodes and
+    34k edges (0.57M entries) the build takes about 0.04 s on a 2-vCPU Xeon.
 
     Args:
         graph: the graph to index.
@@ -180,10 +381,10 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     cost = projected_pair_cost(graph)
     if cost > budget and not override:
         raise BudgetExceededError(cost, budget)
-    counts = CooccurrenceCounts(graph, "precomputed", table={}, projected_pair_cost=cost)
-    for w in range(graph.node_count):
-        _move_incidences(counts.table, (), set(), _incidence_set(*graph.out_arrays(w)))
-    return counts
+    n = graph.node_count
+    codes, vals = np.unique(_pair_codes(graph, np.arange(n), n), return_counts=True)
+    store = NodeCountStore(n, graph.alphabet.size, codes, vals.astype(np.int64))
+    return CooccurrenceCounts(graph, "precomputed", store, projected_pair_cost=cost)
 
 
 # -- batched node-level evidence -----------------------------------------------
@@ -193,14 +394,6 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
 #: Only a block that holds a single receiver may exceed either.
 BLOCK_PAIRS = 4096
 BLOCK_CELLS = 16384
-
-
-def _ranges(lo, hi):
-    """Concatenated index ranges ``lo[k]:hi[k]``: (indices, k of each index)."""
-    lens = hi - lo
-    owner = np.repeat(np.arange(lens.size), lens)
-    starts = np.cumsum(lens) - lens
-    return lo[owner] + (np.arange(owner.size) - starts[owner]), owner
 
 
 def receiver_blocks(graph: SignedGraph, receivers) -> list:
@@ -300,6 +493,39 @@ def context_evidence(graph: SignedGraph, initiators, receivers, with_counts: boo
 
 
 # -- cluster-level counts -----------------------------------------------------
+
+def _incidence_set(heads, labels, assignment=None) -> set:
+    """A tail's distinct (head, label) incidences, plus one (head, ANY) per head.
+
+    With ``assignment`` each head is replaced by its cluster. The cluster
+    table counts the ordered pairs of these sets.
+    """
+    hs = (heads if assignment is None else assignment[heads]).tolist()
+    d = set(zip(hs, labels.tolist()))
+    d.update(zip(hs, repeat(ANY)))
+    return d
+
+
+def _move_incidences(table: dict, prefix: tuple, old: set, new: set) -> None:
+    """Move one tail's incidence pairs in ``table`` from set ``old`` to ``new``.
+
+    The ordered pair (a, b) of a tail's incidence set counts under the key
+    ``prefix + a + b``. Only the pairs with an incidence in ``old ^ new``
+    change. Zeros are pruned so the table stays identical to a fresh build.
+    """
+    for d, gone, sign in ((old, old - new, -1), (new, new - old, +1)):
+        if not gone:
+            continue
+        for a in d:
+            pa = prefix + a
+            for b in (d if a in gone else gone):
+                k = pa + b
+                v = table.get(k, 0) + sign
+                if v:
+                    table[k] = v
+                else:
+                    del table[k]
+
 
 class ClusterCounts:
     """Sparse table of cluster-level co-incidence counts.
@@ -453,9 +679,16 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     nodes are placed on the cluster whose objective delta is smallest
     (largest cluster when edge-free).
 
-    The cost is O(edges) in numpy for the merged graph, plus Python work
-    per changed tail: in both tables, the pairs of the incidences it gains
-    or loses.
+    The cost is O(edges) in numpy for the merged graph. The node store
+    takes, in one vectorized pass, the ordered out-edge pairs of every
+    changed tail before and after the batch; their difference changes
+    present keys in place and adds new keys to the store's pending run,
+    which is merged into the main run now and then (``NodeCountStore``).
+    The cluster table takes Python work per changed tail, over the pairs of
+    the incidences it gains or loses. Every delta is computed before the
+    first write. On the 2,000-node serve-stream graph a 20-edge batch takes
+    about 10 ms on a 2-vCPU Xeon: ~4.5 ms for the new graph, ~2 ms for the
+    node store, most of the rest for the cluster table.
 
     The caller must hold exclusive access: ``counts``, ``cluster_counts``
     and its partition are mutated in place and rebound to the returned
@@ -464,7 +697,7 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     raises ValueError before anything is changed.
 
     Args:
-        counts: node-level counts; a precomputed table is updated in place,
+        counts: node-level counts; a precomputed store is updated in place,
             an on_demand instance is merely rebound to the new graph.
         cluster_counts: cluster-level table, updated in place; its partition
             gains assignments for new nodes.
@@ -534,10 +767,18 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     src, dst, lbl, _, _ = normalize_edge_arrays(np.concatenate((src, b_src)),
                                                 np.concatenate((dst, b_dst)),
                                                 np.concatenate((lbl, b_lbl)), n_new)
-    external_ids = graph.external_ids + report.new_node_ids
-    new_graph = SignedGraph(n_new, src, dst, lbl, alphabet, external_ids)
+    new_graph = graph.replace_edges(src, dst, lbl, report.new_node_ids)
 
-    # Before any write: the pair counts phase 3a retracts must all exist.
+    # Before any write: the node store's delta (each changed tail's ordered
+    # out-edge pairs after the batch, minus those before it), and the pair
+    # counts phase 3a retracts must all exist.
+    tails = np.unique(b_src[changed])
+    if counts.strategy == "precomputed":
+        gained = _pair_codes(new_graph, tails, n_new)
+        lost = _pair_codes(graph, tails[tails < n_old], n_new)
+        nam_codes, nam_delta = _sum_by_code(np.concatenate((gained, lost)),
+                                            np.repeat([1, -1], [gained.size, lost.size]))
+        moved = nam_delta != 0
     K, asg = partition.K, partition.assignment
     retracted = (asg[b_src[relabel]] * K + asg[b_dst[relabel]]) * L + b_old[relabel]
     short = np.bincount(retracted, minlength=K * K * L) > partition.pair_counts.reshape(-1)
@@ -546,13 +787,14 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
         raise ValueError(f"pair count for {(int(c), int(d))} label {int(l)} would go "
                          f"negative: the partition does not match the graph")
 
-    # Phase 3a: partition pair counts for changed edges between existing nodes.
-    for u, v, old, label in changes:
-        if u < n_old and v < n_old:
-            cu, cv = int(asg[u]), int(asg[v])
-            if old >= 0:
-                partition.add_edge_count(cu, cv, old, -1)
-            partition.add_edge_count(cu, cv, label, +1)
+    # Phase 3a: partition pair counts for changed edges between existing
+    # nodes, in one shift: the old label retracted, the new one added.
+    between = changed & (b_src < n_old) & (b_dst < n_old)
+    cu, cv = asg[b_src[between]], asg[b_dst[between]]
+    old, rel = b_old[between], relabel[between]
+    partition.add_edge_counts(np.concatenate((cu[rel], cu)), np.concatenate((cv[rel], cv)),
+                              np.concatenate((old[rel], b_lbl[between])),
+                              np.repeat([-1, 1], [int(rel.sum()), cu.size]))
 
     # Phase 3b: place new nodes, in dense-id order, on the objective-greedy
     # cluster; each incident edge is committed exactly once, when its later
@@ -575,14 +817,16 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
             for u, v, label in ready:       # w's own cluster is now best
                 partition.add_edge_count(int(assignment[u]), int(assignment[v]), label, +1)
 
-    # Phase 4: both tables, per changed tail: move its incidence pairs from
-    # its old out-edges to its new ones (clusters from the final assignment).
+    # Phase 4: the node store takes its delta; the cluster table, per
+    # changed tail, moves the tail's incidence pairs from its old out-edges
+    # to its new ones (clusters from the final assignment).
+    if counts.strategy == "precomputed":
+        counts.store.renumber(n_new)
+        counts.store.add(nam_codes[moved], nam_delta[moved])
     assignment, no_edges = partition.assignment, (b_src[:0], b_lbl[:0])
-    for u in {u for u, _, _, _ in changes}:
+    for u in tails.tolist():
         before = graph.out_arrays(u) if u < n_old else no_edges
         after = new_graph.out_arrays(u)
-        if counts.strategy == "precomputed":
-            _move_incidences(counts.table, (), _incidence_set(*before), _incidence_set(*after))
         _move_incidences(cluster_counts.table, (int(assignment[u]),),
                          _incidence_set(*before, assignment), _incidence_set(*after, assignment))
 

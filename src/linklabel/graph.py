@@ -113,15 +113,18 @@ class SignedGraph:
     never mutated after construction.
     """
 
-    def __init__(self, node_count, src, dst, lbl, alphabet, external_ids):
+    def __init__(self, node_count, src, dst, lbl, alphabet, external_ids, id_index=None):
         # Inputs must already be normalized: unique ordered pairs, no
-        # self-loops, sorted by (src, dst).
+        # self-loops, sorted by (src, dst). ``id_index`` is the dict from
+        # ``external_ids`` to dense ids, if the caller holds one: the new
+        # graph then shares the list and dict instead of copying them.
         self.node_count = int(node_count)
         self.alphabet = alphabet
-        self.external_ids = list(external_ids)
+        self.external_ids = list(external_ids) if id_index is None else external_ids
         if len(self.external_ids) != self.node_count:
             raise ValueError("external id list does not match node count")
-        self._ext_to_id = {e: i for i, e in enumerate(self.external_ids)}
+        self._ext_to_id = ({e: i for i, e in enumerate(self.external_ids)}
+                           if id_index is None else id_index)
 
         self._src = np.asarray(src, dtype=np.int64)
         self._dst = np.asarray(dst, dtype=np.int64)
@@ -162,14 +165,21 @@ class SignedGraph:
             external_ids = [f"{i:0{width}d}" for i in range(node_count)]
         return cls(node_count, src, dst, lbl, alphabet, external_ids)
 
-    def replace_edges(self, src, dst, lbl) -> "SignedGraph":
-        """New graph with the same node universe and a different edge set.
+    def replace_edges(self, src, dst, lbl, new_ids=()) -> "SignedGraph":
+        """New graph with a different edge set, over the same nodes plus ``new_ids``.
 
         The arrays must already be normalized and sorted by ``(src, dst)``;
         used by sparsification, fold splitting and streaming, which never
-        renumber nodes.
+        renumber nodes. Nodes ``new_ids`` (external ids not in the graph)
+        are appended. With none, the new graph shares this graph's id list
+        and dict; otherwise it extends copies of them.
         """
-        return SignedGraph(self.node_count, src, dst, lbl, self.alphabet, self.external_ids)
+        ids, index = self.external_ids, self._ext_to_id
+        if new_ids:
+            ids = ids + list(new_ids)
+            index = dict(index)
+            index.update(zip(new_ids, range(self.node_count, len(ids))))
+        return SignedGraph(len(ids), src, dst, lbl, self.alphabet, ids, index)
 
     # -- lookups ------------------------------------------------------------
 

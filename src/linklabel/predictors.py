@@ -56,9 +56,9 @@ label is ever favored by missing data alone.
 One evidence layer and one combine serve every model and both entry
 points. Evidence is an ``EvidenceBlock``: context entries with their
 node-level counts, plus the entries' cluster-level counts. ``predict`` fills
-a block of one query through ``CooccurrenceCounts.count``, so any count
-table serves it; ``predict_many`` fills blocks of many queries with one
-pass over the graph (``context_evidence``). ``_target_terms`` and
+a block of one query through ``CooccurrenceCounts.query_counts``, so any
+count store serves it; ``predict_many`` fills blocks of many queries with
+one pass over the graph (``context_evidence``). ``_target_terms`` and
 ``_factor_logs`` turn a block into per-entry terms or log factors, and
 ``_ordered_sum`` adds them per query in context order, the float order of
 a loop over the context. The two entry points therefore give the same
@@ -73,7 +73,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counts import (ANY, ClusterCounts, ClusterEvidence, CooccurrenceCounts, EvidenceBlock,
+from .counts import (ClusterCounts, ClusterEvidence, CooccurrenceCounts, EvidenceBlock,
                      cluster_evidence, context_evidence)
 from .graph import PredictionQuery, SignedGraph, context_of
 
@@ -220,9 +220,9 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
     Validates that the components the kind requires are present and that
     any counts given count over ``graph``. The "prior" kind ignores the
     query and returns the training class prior.
-    Node-level counts are read through ``counts.count``, so a precomputed or
-    stream-updated table serves them; the answer equals ``predict_many``'s
-    for the same query.
+    Node-level counts are read through ``counts.query_counts``, so a
+    precomputed or stream-updated store serves them; the answer equals
+    ``predict_many``'s for the same query.
     """
     kind = _checked_kind(model_kind, graph, counts, cluster_counts, partition)
     config = config or SmoothingConfig()
@@ -247,24 +247,12 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
 
 
 def _query_evidence(graph: SignedGraph, counts, query: PredictionQuery, mirrored: bool):
-    """The ``EvidenceBlock`` of one query, its counts read from ``counts`` if given.
-
-    An entry's per-label counts split its ANY count, so they are read only
-    where that is positive.
-    """
+    """The ``EvidenceBlock`` of one query, its counts read from ``counts`` if given."""
     ctx = context_of(graph, query)
     m = len(ctx)
     num = mir = None
     if counts is not None:
-        j, L, count = query.receiver, graph.alphabet.size, counts.count
-        entries = list(ctx.entries())
-        anys = [count(j, ANY, x, lx) for x, lx in entries]
-        num = np.array([count(j, l, x, lx) if n else 0
-                        for (x, lx), n in zip(entries, anys) for l in range(L)],
-                       dtype=np.int64).reshape(m, L)
-        if mirrored:
-            mir = np.array([count(x, ANY, j, l) for x, _ in entries for l in range(L)],
-                           dtype=np.int64).reshape(m, L)
+        num, mir = counts.query_counts(query.receiver, ctx.heads, ctx.labels, mirrored)
     return EvidenceBlock(np.zeros(1, dtype=np.int64), np.array([m]),
                          np.zeros(m, dtype=np.int64), np.arange(m),
                          ctx.heads, ctx.labels, num, mir)

@@ -107,6 +107,11 @@ class DictPartition:
             del self._counts[key]
             self._contrib.pop(key, None)
 
+    def add_edge_counts(self, c, d, label, delta):
+        """``add_edge_count`` for each entry, in order."""
+        for args in zip(*(np.asarray(a).tolist() for a in (c, d, label, delta))):
+            self.add_edge_count(*args)
+
     def delta_add_counts(self, groups) -> float:
         total = 0.0
         for key, add in groups.items():

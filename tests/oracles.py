@@ -40,6 +40,37 @@ def nam(edges, n, n_labels):
     return count
 
 
+def move_incidences(table, old, new):
+    """Move one tail's incidence pairs in a node-level ``table`` from ``old`` to ``new``.
+
+    Incidences are (head, label) with label -1 for "any label"; the ordered
+    pair (a, b) of a tail's incidence set counts under the key ``a + b``.
+    Only the pairs with an incidence in ``old ^ new`` change, and zeros are
+    pruned. This is the dict kernel the precomputed table once used.
+    """
+    for d, gone, sign in ((old, old - new, -1), (new, new - old, +1)):
+        for a in d:
+            for b in (d if a in gone else gone):
+                k = a + b
+                v = table.get(k, 0) + sign
+                if v:
+                    table[k] = v
+                else:
+                    del table[k]
+
+
+def nam_table(edges, n):
+    """The node-level count table as a dict: all four key families, -1 = any label.
+
+    Each tail adds the ordered pairs of its incidences: its (head, label)
+    pairs plus one (head, -1) per head.
+    """
+    table = {}
+    for outs in out_edges(edges, n).values():
+        move_incidences(table, set(), set(outs) | {(h, -1) for h, _ in outs})
+    return table
+
+
 def cluster_sets(edges, assignment, n, n_clusters, n_labels):
     """T[s][m][l] (and l=None for any): cluster-s nodes with an edge into cluster m labeled l."""
     t = {s: {m: {l: set() for l in list(range(n_labels)) + [None]}

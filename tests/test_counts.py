@@ -282,6 +282,21 @@ def test_batch_random_splits_match_rebuild():
         _assert_matches_rebuild(counts, cc, new_g)
 
 
+def test_batch_shares_or_extends_the_id_map(g1):
+    counts, cc, _ = _fresh_state(g1, K=2)
+    ext = g1.external_of
+    same, report = apply_edge_batch(counts, cc, g1, [(ext(0), ext(1), 1)])
+    assert report.new_nodes == 0 and same.external_ids is g1.external_ids
+    grown, _ = apply_edge_batch(counts, cc, same, [("n1", ext(2), 0), (ext(3), "n2", 1)])
+    assert grown.external_ids == [ext(u) for u in range(6)] + ["n1", "n2"]
+    assert grown.node_of("n1") == 6 and grown.node_of("n2") == 7
+    assert grown.has_node(ext(5))
+    for old in (g1, same):
+        assert len(old.external_ids) == 6
+        assert not old.has_node("n1") and not old.has_node("n2")
+    _assert_matches_rebuild(counts, cc, grown)
+
+
 def test_empty_batch_is_identity(g1):
     counts, cc, part = _fresh_state(g1, K=2)
     before_nam = dict(counts.table)

@@ -156,6 +156,34 @@ def test_add_edge_count_is_all_or_nothing():
     part.verify_counts()
 
 
+def test_add_edge_counts_equals_sequential_calls():
+    # One batched shift gives the bytes of one add_edge_count per entry:
+    # retract a label from 40 edges, add it back changed, add 30 new edges.
+    g, _ = generate_planted(120, 4, 0.1, 0.1, seed=3)
+    rng = np.random.default_rng(5)
+    src, dst, lbl = g.edge_arrays
+    for K in (3, 30):
+        asg = rng.integers(0, K, size=g.node_count)
+        pick = rng.choice(g.edge_count, size=40, replace=False)
+        c = np.concatenate((asg[src[pick]], asg[src[pick]], rng.integers(0, K, size=30)))
+        d = np.concatenate((asg[dst[pick]], asg[dst[pick]], rng.integers(0, K, size=30)))
+        lab = np.concatenate((lbl[pick], 1 - lbl[pick], rng.integers(0, 2, size=30)))
+        delta = np.repeat([-1, 1, 1], [40, 40, 30])
+        seq, shifted = Partition(g, asg, K), Partition(g, asg, K)
+        for args in zip(c.tolist(), d.tolist(), lab.tolist(), delta.tolist()):
+            seq.add_edge_count(*args)
+        shifted.add_edge_counts(c, d, lab, delta)
+        assert shifted.pair_counts.tobytes() == seq.pair_counts.tobytes()
+        assert shifted.pair_weights.tobytes() == seq.pair_weights.tobytes()
+        assert shifted.objective() == seq.objective()
+        with pytest.raises(ValueError, match="negative"):
+            shifted.add_edge_counts(c[:1], d[:1], lab[:1], [-g.edge_count])
+        with pytest.raises(ValueError, match="out of range"):
+            shifted.add_edge_counts([K], [0], [0], [1])
+        assert shifted.pair_counts.tobytes() == seq.pair_counts.tobytes()
+        assert shifted.pair_weights.tobytes() == seq.pair_weights.tobytes()
+
+
 def test_pair_weight_uses_math_log2():
     # 7957 * np.log2(7957) is one ulp off 7957 * math.log2(7957); the
     # weights must use the latter.

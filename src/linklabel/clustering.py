@@ -114,29 +114,26 @@ class Partition:
 
     def add_edge_count(self, c: int, d: int, label: int, delta: int) -> None:
         """Shift one (cluster pair, label) count; all or nothing on a bad shift."""
-        if not (0 <= c < self.K and 0 <= d < self.K and 0 <= label < self._L):
-            raise ValueError(f"pair {(c, d)} label {label} out of range")
-        if self.pair_counts[c, d, label] + delta < 0:
-            raise ValueError(f"pair count for {(c, d)} label {label} went negative")
-        self.pair_counts[c, d, label] += delta
-        self._edges += delta
-        self.pair_weights[c, d] = _pair_weights(self.pair_counts[c, d], _xlog2x(self._edges))
+        self.add_edge_counts([c], [d], [label], [delta])
 
     def add_edge_counts(self, c, d, label, delta) -> None:
         """Shift many (cluster pair, label) counts at once; all or nothing.
 
-        Counts and weights come out bit-identical to one ``add_edge_count``
-        per entry, in any order: each touched pair's weight is recomputed
-        once, from its final counts.
+        Counts and weights come out bit-identical to one shift per entry,
+        in any order: each touched pair's weight is recomputed once, from
+        its final counts.
         """
         K, L = self.K, self._L
         c, d, label, delta = (np.asarray(a, dtype=np.int64) for a in (c, d, label, delta))
-        if np.any((c < 0) | (c >= K) | (d < 0) | (d >= K) | (label < 0) | (label >= L)):
-            raise ValueError("pair or label out of range")
+        bad = (c < 0) | (c >= K) | (d < 0) | (d >= K) | (label < 0) | (label >= L)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"pair {(int(c[i]), int(d[i]))} label {int(label[i])} out of range")
         counts = self.pair_counts.copy()
         np.add.at(counts, (c, d, label), delta)
         if np.any(counts < 0):
-            raise ValueError("a pair count would go negative")
+            i, j, l = (int(v) for v in np.argwhere(counts < 0)[0])
+            raise ValueError(f"pair count for {(i, j)} label {l} went negative")
         self.pair_counts[...] = counts
         self._edges += int(delta.sum())
         tc, td = np.divmod(np.unique(c * K + d), K)

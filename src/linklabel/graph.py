@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -113,18 +114,14 @@ class SignedGraph:
     never mutated after construction.
     """
 
-    def __init__(self, node_count, src, dst, lbl, alphabet, external_ids, id_index=None):
+    def __init__(self, node_count, src, dst, lbl, alphabet, external_ids):
         # Inputs must already be normalized: unique ordered pairs, no
-        # self-loops, sorted by (src, dst). ``id_index`` is the dict from
-        # ``external_ids`` to dense ids, if the caller holds one: the new
-        # graph then shares the list and dict instead of copying them.
+        # self-loops, sorted by (src, dst).
         self.node_count = int(node_count)
         self.alphabet = alphabet
-        self.external_ids = list(external_ids) if id_index is None else external_ids
+        self.external_ids = list(external_ids)
         if len(self.external_ids) != self.node_count:
             raise ValueError("external id list does not match node count")
-        self._ext_to_id = ({e: i for i, e in enumerate(self.external_ids)}
-                           if id_index is None else id_index)
 
         self._src = np.asarray(src, dtype=np.int64)
         self._dst = np.asarray(dst, dtype=np.int64)
@@ -179,9 +176,15 @@ class SignedGraph:
             ids = ids + list(new_ids)
             index = dict(index)
             index.update(zip(new_ids, range(self.node_count, len(ids))))
-        return SignedGraph(len(ids), src, dst, lbl, self.alphabet, ids, index)
+        g = SignedGraph(len(ids), src, dst, lbl, self.alphabet, ids)
+        g.external_ids, g._ext_to_id = ids, index
+        return g
 
     # -- lookups ------------------------------------------------------------
+
+    @cached_property
+    def _ext_to_id(self) -> dict:
+        return {e: i for i, e in enumerate(self.external_ids)}
 
     def node_of(self, external_id: str) -> int:
         try:

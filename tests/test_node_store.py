@@ -129,8 +129,31 @@ def test_out_of_range_keys_read_zero():
     for key in aliases + others:
         assert counts.count(*key) == 0
         assert key not in counts.table and counts.table.get(key) is None
-    for bad in ("x", (1, 2), (0, 0, 0, "a")):
+    for bad in ("x", (1, 2), (0, 0, 0, "a"), (m + 0.5, l, x, lp)):
         assert bad not in counts.table
+
+
+def test_hub_tail_batch_matches_dict_oracle():
+    # A stream batch changes only the pairs through its changed edges: on a
+    # tail with out-degree ~150, relabels, new edges and a new node's edges
+    # land in one batch and must leave the rebuilt table.
+    rng = np.random.default_rng(11)
+    n, L = 160, 3
+    edges = random_edge_list(rng, n, L, edge_prob=0.03)
+    edges = [e for e in edges if e[0] != 0]
+    edges += [(0, d, int(rng.integers(L))) for d in range(1, n) if rng.random() < 0.95]
+    g = graph_from(edges, n, L)
+    part = Partition.from_random(g, 4, rng)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    ext = g.external_ids
+    hub = [(d, l) for s, d, l in g.edges() if s == 0]
+    batch = [(ext[0], ext[d], (l + 1) % L) for d, l in hub[:12]]
+    batch += [(ext[0], ext[d], 0) for d in range(1, n) if (0, d) not in g.edge_map()]
+    batch += [(ext[0], "hubnew", 1), ("hubnew", ext[0], 2), ("hubnew", ext[5], 0)]
+    g, report = apply_edge_batch(counts, cc, g, batch)
+    assert report.relabeled == 12 and report.new_nodes == 1
+    _assert_table_is(counts, _oracle(g))
+    assert counts.table == build_precomputed_nam(g).table
 
 
 def test_store_holds_at_most_16_bytes_per_entry():

@@ -156,27 +156,43 @@ def test_add_edge_count_is_all_or_nothing():
     part.verify_counts()
 
 
-def test_add_edge_counts_equals_sequential_calls():
-    # One batched shift gives the bytes of one add_edge_count per entry:
-    # retract a label from 40 edges, add it back changed, add 30 new edges.
+def test_add_edge_counts_equals_sequential_calls_and_a_rebuild():
+    # One batched shift gives the bytes of one add_edge_count per entry and
+    # of a fresh Partition on the edited graph: 40 edges relabeled (old
+    # label retracted, new one added) and 30 new edges.
     g, _ = generate_planted(120, 4, 0.1, 0.1, seed=3)
     rng = np.random.default_rng(5)
     src, dst, lbl = g.edge_arrays
+    present, new = set(g.edge_map()), []
+    while len(new) < 30:
+        u, v = rng.integers(0, g.node_count, size=2).tolist()
+        if u != v and (u, v) not in present:
+            present.add((u, v))
+            new.append((u, v, int(rng.integers(2))))
+    nu, nv, nl = np.array(new).T
+    pick = rng.choice(g.edge_count, size=40, replace=False)
+    relabeled = lbl.copy()
+    relabeled[pick] = 1 - lbl[pick]
+    edited = graph_from(list(zip(np.concatenate((src, nu)).tolist(),
+                                 np.concatenate((dst, nv)).tolist(),
+                                 np.concatenate((relabeled, nl)).tolist())), g.node_count)
+    u = np.concatenate((src[pick], src[pick], nu))
+    v = np.concatenate((dst[pick], dst[pick], nv))
+    lab = np.concatenate((lbl[pick], 1 - lbl[pick], nl))
+    delta = np.repeat([-1, 1, 1], [40, 40, 30])
     for K in (3, 30):
         asg = rng.integers(0, K, size=g.node_count)
-        pick = rng.choice(g.edge_count, size=40, replace=False)
-        c = np.concatenate((asg[src[pick]], asg[src[pick]], rng.integers(0, K, size=30)))
-        d = np.concatenate((asg[dst[pick]], asg[dst[pick]], rng.integers(0, K, size=30)))
-        lab = np.concatenate((lbl[pick], 1 - lbl[pick], rng.integers(0, 2, size=30)))
-        delta = np.repeat([-1, 1, 1], [40, 40, 30])
+        c, d = asg[u], asg[v]
         seq, shifted = Partition(g, asg, K), Partition(g, asg, K)
         for args in zip(c.tolist(), d.tolist(), lab.tolist(), delta.tolist()):
             seq.add_edge_count(*args)
         shifted.add_edge_counts(c, d, lab, delta)
-        assert shifted.pair_counts.tobytes() == seq.pair_counts.tobytes()
-        assert shifted.pair_weights.tobytes() == seq.pair_weights.tobytes()
-        assert shifted.objective() == seq.objective()
-        with pytest.raises(ValueError, match="negative"):
+        rebuilt = Partition(edited, asg, K)
+        for ref in (seq, rebuilt):
+            assert shifted.pair_counts.tobytes() == ref.pair_counts.tobytes()
+            assert shifted.pair_weights.tobytes() == ref.pair_weights.tobytes()
+            assert shifted.objective() == ref.objective()
+        with pytest.raises(ValueError, match="went negative"):
             shifted.add_edge_counts(c[:1], d[:1], lab[:1], [-g.edge_count])
         with pytest.raises(ValueError, match="out of range"):
             shifted.add_edge_counts([K], [0], [0], [1])

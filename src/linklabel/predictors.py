@@ -73,8 +73,8 @@ from typing import Optional
 
 import numpy as np
 
-from .counts import (ClusterCounts, ClusterEvidence, CooccurrenceCounts, EvidenceBlock,
-                     cluster_evidence, context_evidence)
+from .counts import (ClusterCounts, CooccurrenceCounts, EvidenceBlock, cluster_evidence,
+                     context_evidence)
 from .graph import PredictionQuery, SignedGraph, context_of
 
 #: Recognized model kinds, in canonical order.
@@ -236,9 +236,8 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
     glob = None
     if kind in CLUSTER_KINDS:
         asg = partition.assignment
-        glob = cluster_evidence(cluster_counts, int(asg[query.initiator]),
-                                asg[blk.heads].tolist(), blk.labels.tolist(),
-                                int(asg[query.receiver]))
+        glob = cluster_evidence(cluster_counts, asg[query.initiator], asg[blk.heads],
+                                blk.labels, asg[query.receiver])
     probs, defined, used, lam = _answer(kind, blk, glob, config, _log_prior(kind, graph, config))
     support = _support(kind, blk, glob, used, lam, config) if collect_support else None
     if not defined[0]:
@@ -266,8 +265,8 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
 
     Query q is ``initiators[q] -> receivers[q]``. Node-level counts come
     from one receiver-blocked pass over ``graph`` (``context_evidence``),
-    cluster-level counts from ``cluster_counts.table``, once per distinct
-    key. The per-entry terms and their combine are those of ``predict``.
+    cluster-level counts from the dense table (``cluster_evidence``). The
+    per-entry terms and their combine are those of ``predict``.
 
     Args:
         counts: optional, since the node-level counts are taken from
@@ -298,16 +297,15 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
         probs[:] = class_prior(graph).probs
         defined[:] = True
         return probs, defined
-    evidence = ClusterEvidence(cluster_counts) if kind in CLUSTER_KINDS else None
     log_prior = _log_prior(kind, graph, config)
     for blk in context_evidence(graph, initiators, receivers,
                                 with_counts=kind in LOCAL_KINDS):
         glob = None
-        if evidence is not None:
+        if kind in CLUSTER_KINDS:
             asg = partition.assignment
             q = blk.queries[blk.row]
-            glob = evidence.lookup(asg[initiators[q]], asg[blk.heads], blk.labels,
-                                   asg[receivers[q]])
+            glob = cluster_evidence(cluster_counts, asg[initiators[q]], asg[blk.heads],
+                                    blk.labels, asg[receivers[q]])
         p, d, _, _ = _answer(kind, blk, glob, config, log_prior)
         probs[blk.queries] = p
         defined[blk.queries] = d

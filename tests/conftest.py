@@ -54,6 +54,40 @@ def random_graph(seed: int, n: int = 20, n_labels: int = 2,
     return g, edges, n, n_labels
 
 
+def random_batch(rng, graph, L, fresh):
+    """Random stream items over ``graph``: new pairs, relabels, restatements,
+    self-loops, new nodes (also wired to each other) and in-batch duplicates."""
+    ext, n = graph.external_ids, graph.node_count
+    edges = list(graph.edges())
+    batch = []
+    for _ in range(int(rng.integers(4, 14))):
+        r = rng.random()
+        lab = int(rng.integers(L))
+        if r < 0.08:
+            tok = f"new{fresh[0]}"
+            fresh[0] += 1
+            for v in rng.choice(n, size=3, replace=False).tolist():
+                batch.append((tok, ext[v], lab) if rng.random() < 0.5 else (ext[v], tok, lab))
+            if fresh[0] > 1 and rng.random() < 0.5:
+                batch.append((tok, f"new{fresh[0] - 2}", lab))
+        elif r < 0.3 and edges:
+            s, d, l = edges[int(rng.integers(len(edges)))]
+            batch.append((ext[s], ext[d], (l + 1 + int(rng.integers(L - 1))) % L))
+        elif r < 0.4 and edges:
+            s, d, l = edges[int(rng.integers(len(edges)))]
+            batch.append((ext[s], ext[d], l))
+        elif r < 0.45:
+            u = ext[int(rng.integers(n))]
+            batch.append((u, u, lab))
+        else:
+            u, v = rng.choice(n, size=2, replace=False).tolist()
+            batch.append((ext[u], ext[v], lab))
+    if rng.random() < 0.5:
+        s, d, _ = batch[int(rng.integers(len(batch)))]
+        batch.append((s, d, int(rng.integers(L))))
+    return batch
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance checklist after the run summary, uncaptured."""
     import sys

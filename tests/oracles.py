@@ -40,18 +40,30 @@ def nam(edges, n, n_labels):
     return count
 
 
-def move_incidences(table, old, new):
-    """Move one tail's incidence pairs in a node-level ``table`` from ``old`` to ``new``.
+def incidence_set(outs, assignment=None):
+    """A tail's (head, label) incidences plus one (head, -1) per head.
+
+    ``outs`` is the tail's out-edge list of (head, label); with
+    ``assignment`` each head is replaced by its cluster.
+    """
+    if assignment is not None:
+        outs = [(int(assignment[h]), l) for h, l in outs]
+    return set(outs) | {(h, -1) for h, _ in outs}
+
+
+def move_incidences(table, old, new, prefix=()):
+    """Move one tail's incidence pairs in ``table`` from set ``old`` to ``new``.
 
     Incidences are (head, label) with label -1 for "any label"; the ordered
-    pair (a, b) of a tail's incidence set counts under the key ``a + b``.
-    Only the pairs with an incidence in ``old ^ new`` change, and zeros are
-    pruned. This is the dict kernel the precomputed table once used.
+    pair (a, b) of a tail's incidence set counts under the key
+    ``prefix + a + b``. Only the pairs with an incidence in ``old ^ new``
+    change, and zeros are pruned. This is the dict kernel both count tables
+    once used, the cluster table with the tail's cluster as ``prefix``.
     """
     for d, gone, sign in ((old, old - new, -1), (new, new - old, +1)):
         for a in d:
             for b in (d if a in gone else gone):
-                k = a + b
+                k = prefix + a + b
                 v = table.get(k, 0) + sign
                 if v:
                     table[k] = v
@@ -62,12 +74,23 @@ def move_incidences(table, old, new):
 def nam_table(edges, n):
     """The node-level count table as a dict: all four key families, -1 = any label.
 
-    Each tail adds the ordered pairs of its incidences: its (head, label)
-    pairs plus one (head, -1) per head.
+    Each tail adds the ordered pairs of its incidences.
     """
     table = {}
     for outs in out_edges(edges, n).values():
-        move_incidences(table, set(), set(outs) | {(h, -1) for h, _ in outs})
+        move_incidences(table, set(), incidence_set(outs))
+    return table
+
+
+def cam_table(edges, assignment, n):
+    """The cluster-level count table as a dict, keys (s, m, l, n, lp), -1 = any label.
+
+    Each tail adds the ordered pairs of its cluster incidences, keyed with
+    its own cluster in front.
+    """
+    table = {}
+    for u, outs in out_edges(edges, n).items():
+        move_incidences(table, set(), incidence_set(outs, assignment), (int(assignment[u]),))
     return table
 
 

@@ -17,7 +17,7 @@ from linklabel import (ANY, MODEL_KINDS, ClusterCounts, CooccurrenceCounts, Part
                        PredictionQuery, SmoothingConfig, apply_edge_batch,
                        build_precomputed_nam, generate_planted, predict)
 
-from conftest import graph_from, random_edge_list
+from conftest import graph_from, random_batch, random_edge_list
 import oracles
 
 
@@ -52,40 +52,6 @@ def test_build_matches_dict_oracle(L):
         assert counts.store.pending_codes.size == 0
 
 
-def _random_batch(rng, graph, L, fresh):
-    """Random stream items over ``graph``: new pairs, relabels, restatements,
-    self-loops, new nodes (also wired to each other) and in-batch duplicates."""
-    ext, n = graph.external_ids, graph.node_count
-    edges = list(graph.edges())
-    batch = []
-    for _ in range(int(rng.integers(4, 14))):
-        r = rng.random()
-        lab = int(rng.integers(L))
-        if r < 0.08:
-            tok = f"new{fresh[0]}"
-            fresh[0] += 1
-            for v in rng.choice(n, size=3, replace=False).tolist():
-                batch.append((tok, ext[v], lab) if rng.random() < 0.5 else (ext[v], tok, lab))
-            if fresh[0] > 1 and rng.random() < 0.5:
-                batch.append((tok, f"new{fresh[0] - 2}", lab))
-        elif r < 0.3 and edges:
-            s, d, l = edges[int(rng.integers(len(edges)))]
-            batch.append((ext[s], ext[d], (l + 1 + int(rng.integers(L - 1))) % L))
-        elif r < 0.4 and edges:
-            s, d, l = edges[int(rng.integers(len(edges)))]
-            batch.append((ext[s], ext[d], l))
-        elif r < 0.45:
-            u = ext[int(rng.integers(n))]
-            batch.append((u, u, lab))
-        else:
-            u, v = rng.choice(n, size=2, replace=False).tolist()
-            batch.append((ext[u], ext[v], lab))
-    if rng.random() < 0.5:
-        s, d, _ = batch[int(rng.integers(len(batch)))]
-        batch.append((s, d, int(rng.integers(L))))
-    return batch
-
-
 @pytest.mark.parametrize("L", [2, 3])
 def test_stream_matches_dict_oracle_after_every_batch(L):
     rng = np.random.default_rng(40 + L)
@@ -96,7 +62,7 @@ def test_stream_matches_dict_oracle_after_every_batch(L):
     merged = {(g.external_of(s), g.external_of(d)): l for s, d, l in g.edges()}
     fresh, pending_reads = [0], 0
     for _ in range(40):
-        batch = _random_batch(rng, g, L, fresh)
+        batch = random_batch(rng, g, L, fresh)
         g, _ = apply_edge_batch(counts, cc, g, batch)
         for s, d, l in batch:
             if s != d:

@@ -19,7 +19,6 @@ from linklabel import (
     class_prior,
     context_of,
     decide,
-    nam_count,
     predict,
 )
 
@@ -45,17 +44,18 @@ print("context of i -> j:",
 # Tail sets are the raw material: who points at a node, with which label.
 for node in (J, X):
     for label in (0, 1):
-        tails = sorted(NAMES[u] for u in graph.tail_set(node, label))
+        tails = sorted(NAMES[u] for u in graph.in_tails(node, label).tolist())
         print(f"  T({NAMES[node]}, {graph.alphabet.names[label]}) = {tails}")
 
-# Co-pointing counts intersect tail sets. The ANY sentinel pools labels.
-print("count(j, +, x, +) =", nam_count(graph, J, 0, X, 0), " (w1 and w3)")
-print("count(j, -, x, +) =", nam_count(graph, J, 1, X, 0), " (w2 alone)")
-print("count(j, ANY, x, +) =", nam_count(graph, J, ANY, X, 0))
+# Co-pointing counts are the sizes of tail-set intersections, counted
+# straight from the graph. The ANY sentinel pools labels.
+counts = CooccurrenceCounts.on_demand(graph)
+print("count(j, +, x, +) =", counts.count(J, 0, X, 0), " (w1 and w3)")
+print("count(j, -, x, +) =", counts.count(J, 1, X, 0), " (w2 alone)")
+print("count(j, ANY, x, +) =", counts.count(J, ANY, X, 0))
 
 # LTLGM averages, per context entry, the label split of the co-pointers:
 # here a single entry (x, +) giving [2/3, 1/3].
-counts = CooccurrenceCounts.on_demand(graph)
 dist = predict("ltlgm", graph, query, counts=counts)
 print("LTLGM p(+), p(-) =", np.round(dist.probs, 6))
 

@@ -11,8 +11,7 @@ from .clustering import (ClusterConfig, Partition, boltzmann_pick, cluster,
                          delta_objective, gibbs_sweep, objective,
                          read_partition, write_partition)
 from .counts import (ANY, BatchReport, BudgetExceededError, ClusterCounts,
-                     CooccurrenceCounts, apply_edge_batch,
-                     build_precomputed_nam, nam_count,
+                     CooccurrenceCounts, apply_edge_batch, build_precomputed_nam,
                      projected_pair_cost, save_cam_snapshot, save_nam_snapshot)
 from .evaluation import (EvalReport, FoldPlan, balanced_accuracy, evaluate,
                          make_folds, param_sample_cdf, sparsity_sweep)
@@ -36,7 +35,7 @@ __all__ = [
     "boltzmann_pick", "build_precomputed_nam", "class_prior",
     "cluster", "context_of", "decide", "decide_many", "delta_objective", "evaluate",
     "generate_planted", "gibbs_sweep", "graph_stats", "load_edge_list",
-    "make_folds", "nam_count", "objective", "param_sample_cdf", "predict",
+    "make_folds", "objective", "param_sample_cdf", "predict",
     "predict_many", "projected_pair_cost", "read_partition",
     "save_cam_snapshot", "save_nam_snapshot", "sparsify", "sparsity_sweep",
     "write_edge_list", "write_partition",

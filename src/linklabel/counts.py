@@ -3,9 +3,9 @@
 Two count families are provided:
 
 * node-level: how many nodes point at both of two given nodes with given
-  labels (intersection sizes of in-neighborhood tail sets), served on
-  demand from the graph's one in-adjacency index (split by label), or from
-  a precomputed store, which ``apply_edge_batch`` keeps current under an
+  labels (intersection sizes of in-neighborhood tail sets), counted on
+  demand from the graph's CSR arrays (``block_table``), or read from a
+  precomputed store, which ``apply_edge_batch`` keeps current under an
   edge stream and which can be exported as a snapshot;
 * cluster-level: given a partition, how many nodes of one cluster have at
   least one edge into each of two given clusters with given labels.
@@ -17,11 +17,13 @@ reproduces the ANY count. At cluster level that identity does NOT hold: a
 single node can carry several labels into the same cluster, so ANY is a
 genuine union, never a sum.
 
-Many queries at once are served by ``context_evidence``: every count is an
-entry of a co-citation product, count(j, l, x, l') = (A_l^T A_l')[j, x] with
-A_l the adjacency matrix restricted to label l, so one pass over the CSR
-arrays per block of receivers yields the counts of every context entry of
-every query into those receivers.
+Every on-demand count is an entry of a co-citation product, count(j, l, x,
+l') = (A_l^T A_l')[j, x] with A_l the adjacency matrix restricted to label
+l, so one pass over the CSR arrays per block of receivers yields the counts
+of every context entry of every query into those receivers
+(``block_table``, read by ``_gather``). ``context_evidence`` serves many
+queries at once with blocks of receivers; ``CooccurrenceCounts`` without a
+store serves one query, or one count, with a block of one receiver.
 
 The precomputed node-level store (``NodeCountStore``) holds concrete keys
 only, (m, l, n, lp) with both labels real, as sorted ``int64`` codes
@@ -83,33 +85,11 @@ class BudgetExceededError(RuntimeError):
             f"(override=True, or --nam-override)")
 
 
-def nam_count(graph: SignedGraph, m: int, l: int, n: int, lp: int) -> int:
-    """Count nodes with an edge into ``m`` labeled ``l`` and one into ``n`` labeled ``lp``.
-
-    ``l`` and ``lp`` may be ``ANY``, selecting the pooled (union) tail set.
-    Computed by intersecting the cached tail sets of the two endpoints.
-
-    Args:
-        graph: the graph to count in.
-        m, n: head nodes.
-        l, lp: label indices or ANY.
-
-    Returns:
-        Exact intersection size.
-    """
-    a = graph.tail_set(m, None if l == ANY else l)
-    b = graph.tail_set(n, None if lp == ANY else lp)
-    if len(a) > len(b):
-        a, b = b, a
-    return len(a & b)
-
-
 def _ranges(lo, hi):
     """Concatenated index ranges ``lo[k]:hi[k]``: (indices, k of each index)."""
     lens = hi - lo
-    owner = np.repeat(np.arange(lens.size), lens)
-    starts = np.cumsum(lens) - lens
-    return lo[owner] + (np.arange(owner.size) - starts[owner]), owner
+    owner = np.arange(lens.size).repeat(lens)
+    return np.arange(owner.size) + (lo - (lens.cumsum() - lens))[owner], owner
 
 
 def _sum_by_code(codes, vals):
@@ -128,6 +108,20 @@ def _find(run, codes):
         return np.zeros(codes.shape, dtype=np.intp), np.zeros(codes.shape, dtype=bool)
     pos = np.minimum(np.searchsorted(run, codes), run.size - 1)
     return pos, run[pos] == codes
+
+
+def _node_key(N: int, L: int, key):
+    """The node-level key (m, l, n, lp) as integers, or None if a node or label is out of range.
+
+    Raises TypeError for a field that is not an integer (``operator.index``).
+    """
+    m, l, n, lp = key = tuple(map(operator.index, key))
+    return key if 0 <= m < N and 0 <= n < N and ANY <= l < L and ANY <= lp < L else None
+
+
+def _labels(l: int, L: int) -> np.ndarray:
+    """The labels a selector reads: all L for ANY, else ``l`` alone."""
+    return np.arange(L) if l == ANY else np.array([l])
 
 
 #: The pending run of a ``NodeCountStore`` is merged into its main run once
@@ -172,13 +166,12 @@ class NodeCountStore:
 
     def count(self, m: int, l: int, n: int, lp: int) -> int:
         """count(m, l, n, lp); an ANY label sums over its labels, a key out of range is 0."""
-        N, L = self.N, self.L
-        m, l, n, lp = map(operator.index, (m, l, n, lp))
-        if not (0 <= m < N and 0 <= n < N and ANY <= l < L and ANY <= lp < L):
+        key = _node_key(self.N, self.L, (m, l, n, lp))
+        if key is None:
             return 0
-        ls = np.arange(L) if l == ANY else np.array([l])
-        lps = np.arange(L) if lp == ANY else np.array([lp])
-        return int(self.get(self.encode(m, ls[:, None], n, lps).ravel()).sum())
+        m, l, n, lp = key
+        return int(self.get(self.encode(m, _labels(l, self.L)[:, None], n,
+                                        _labels(lp, self.L)).ravel()).sum())
 
     def add(self, codes: np.ndarray, deltas: np.ndarray) -> None:
         """Add ``deltas`` at the distinct sorted ``codes``."""
@@ -312,67 +305,59 @@ class NodeTableView(_CountView):
 
 
 class CooccurrenceCounts:
-    """Node-pair co-pointing counts with two interchangeable strategies.
+    """Node-pair co-pointing counts, read from a store or from the graph.
 
-    ``on_demand`` answers each query by set intersection over the immutable
-    graph; ``precomputed`` holds a ``NodeCountStore`` built by enumerating
-    every tail's ordered out-edge pairs, which also makes incremental stream
-    updates possible. ``table`` is its read-only mapping view (None on
-    demand).
+    ``build_precomputed_nam`` gives one that holds a ``NodeCountStore``
+    (every tail's ordered out-edge pairs, counted once), which stream
+    updates keep current; ``table`` is its read-only mapping view.
+    ``on_demand`` gives one without a store (``table`` None): each read
+    counts the co-pointers of one node with ``block_table`` on the graph,
+    which it never changes.
     """
 
-    def __init__(self, graph: SignedGraph, strategy: str,
-                 store: Optional[NodeCountStore] = None,
+    def __init__(self, graph: SignedGraph, store: Optional[NodeCountStore] = None,
                  projected_pair_cost: Optional[int] = None):
-        if strategy not in ("on_demand", "precomputed"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if (store is None) != (strategy == "on_demand"):
-            raise ValueError("a precomputed strategy needs a store, on_demand none")
         self.graph = graph
-        self.strategy = strategy
         self.store = store
         self.table = NodeTableView(store) if store is not None else None
         self.projected_pair_cost = projected_pair_cost
 
     @classmethod
     def on_demand(cls, graph: SignedGraph) -> "CooccurrenceCounts":
-        return cls(graph, "on_demand")
+        return cls(graph)
 
     def count(self, m: int, l: int, n: int, lp: int) -> int:
-        """Exact count for (m, l, n, lp); absent precomputed keys are 0."""
-        if self.strategy == "on_demand":
-            return nam_count(self.graph, m, l, n, lp)
-        return self.store.count(m, l, n, lp)
+        """count(m, l, n, lp); an ANY label sums over its labels, a key out of range is 0."""
+        if self.store is not None:
+            return self.store.count(m, l, n, lp)
+        g = self.graph
+        L = g.alphabet.size
+        key = _node_key(g.node_count, L, (m, l, n, lp))
+        if key is None:
+            return 0
+        m, l, n, lp = key
+        return int(block_table(g, np.array([m]))[0, _labels(l, L)[:, None], n,
+                                                  _labels(lp, L)].sum())
 
     def query_counts(self, j: int, heads: np.ndarray, labels: np.ndarray, mirrored: bool):
         """One query's node-level evidence, for context entries (heads, labels).
 
         Returns ``(num, mir)``: ``num[e, l] = count(j, l, x_e, l_e)`` and,
         if ``mirrored``, ``mir[e, l] = count(x_e, ANY, j, l)`` (else None).
-        A store reads all of them with one lookup. On demand, an entry's
-        per-label counts split its ANY count, so they are read only where
-        that is positive.
+        A store reads all of them with one lookup; without one they are
+        gathered from j's ``block_table``, as ``context_evidence`` does.
         """
         m, L = heads.size, self.graph.alphabet.size
-        if self.strategy == "precomputed":
-            st, lab = self.store, np.arange(L)
-            codes = [st.encode(j, lab, heads[:, None], labels[:, None]).ravel()]
-            if mirrored:        # [e, l2, l]: count(x_e, l2, j, l), summed over l2
-                codes.append(st.encode(heads[:, None, None], lab[:, None], j, lab).ravel())
-            got = st.get(np.concatenate(codes))
-            mir = got[m * L:].reshape(m, L, L).sum(axis=1) if mirrored else None
-            return got[:m * L].reshape(m, L), mir
-        count = self.count
-        entries = list(zip(heads.tolist(), labels.tolist()))
-        anys = [count(j, ANY, x, lx) for x, lx in entries]
-        num = np.array([count(j, l, x, lx) if n else 0
-                        for (x, lx), n in zip(entries, anys) for l in range(L)],
-                       dtype=np.int64).reshape(m, L)
-        mir = None
-        if mirrored:
-            mir = np.array([count(x, ANY, j, l) for x, _ in entries for l in range(L)],
-                           dtype=np.int64).reshape(m, L)
-        return num, mir
+        if self.store is None:
+            return _gather(block_table(self.graph, np.array([j])),
+                           np.zeros(m, dtype=np.intp), heads, labels, mirrored)
+        st, lab = self.store, np.arange(L)
+        codes = [st.encode(j, lab, heads[:, None], labels[:, None]).ravel()]
+        if mirrored:        # [e, l2, l]: count(x_e, l2, j, l), summed over l2
+            codes.append(st.encode(heads[:, None, None], lab[:, None], j, lab).ravel())
+        got = st.get(np.concatenate(codes))
+        mir = got[m * L:].reshape(m, L, L).sum(axis=1) if mirrored else None
+        return got[:m * L].reshape(m, L), mir
 
 
 def projected_pair_cost(graph: SignedGraph) -> int:
@@ -410,7 +395,7 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     n = graph.node_count
     codes, vals = np.unique(_pair_codes(graph, np.arange(n), n), return_counts=True)
     store = NodeCountStore(n, graph.alphabet.size, codes, vals.astype(np.int64))
-    return CooccurrenceCounts(graph, "precomputed", store, projected_pair_cost=cost)
+    return CooccurrenceCounts(graph, store, projected_pair_cost=cost)
 
 
 # -- batched node-level evidence -----------------------------------------------
@@ -450,17 +435,35 @@ def receiver_blocks(graph: SignedGraph, receivers) -> list:
 def block_table(graph: SignedGraph, block: np.ndarray) -> np.ndarray:
     """Co-pointing counts of a receiver block: ``T[b, l, x, lp] = count(block[b], l, x, lp)``.
 
-    The label-split in-tails of the block's receivers are expanded through
-    their out-edges with ``np.repeat`` and counted with one ``np.bincount``.
+    A receiver's L label slices of the in-adjacency index are contiguous, so
+    its in-tails are one range; they are expanded through their out-edges
+    and counted with one ``np.bincount`` of n * L**2 cells per receiver.
     """
     out_ptr, heads, labels, in_ptr, in_tails = graph.csr()
     n, L = graph.node_count, graph.alphabet.size
-    rows = (block[:, None] * L + np.arange(L)).ravel()        # row b * L + l
-    t, row = _ranges(in_ptr[rows], in_ptr[rows + 1])
-    tails = in_tails[t]
+    if block.size == 1:             # one receiver's in-tails: one slice, no gather
+        r = int(block[0]) * L
+        slots = in_ptr[r:r + L + 1]
+        tails = in_tails[slots[0]:slots[L]]
+        sizes = slots[1:] - slots[:-1]
+    else:
+        slots = in_ptr[block[:, None] * L + np.arange(L + 1)]     # (B, L + 1) bounds
+        tails = in_tails[_ranges(slots[:, 0], slots[:, L])[0]]
+        sizes = (slots[:, 1:] - slots[:, :-1]).ravel()
+    row = np.arange(sizes.size).repeat(sizes)                 # b * L + l of each in-tail
     e, k = _ranges(out_ptr[tails], out_ptr[tails + 1])
     key = (row[k] * n + heads[e]) * L + labels[e]
-    return np.bincount(key, minlength=rows.size * n * L).reshape(block.size, L, n, L)
+    return np.bincount(key, minlength=sizes.size * n * L).reshape(block.size, L, n, L)
+
+
+def _gather(table: np.ndarray, b, x, lx, mirrored: bool):
+    """``(num, mir)`` of entries (b, x, lx) of a block table; ``mir`` only if ``mirrored``.
+
+    ``num[e, l] = T[b_e, l, x_e, lx_e]``, and ``mir[e, l] = T[b_e, l, x_e,
+    :].sum()``, which is count(x_e, ANY, block[b_e], l), summed after the
+    gather so that no step reduces the whole table.
+    """
+    return table[b, :, x, lx], (table[b, :, x].sum(axis=-1) if mirrored else None)
 
 
 @dataclass
@@ -469,9 +472,8 @@ class EvidenceBlock:
 
     ``context_evidence`` yields one per receiver block; ``predict`` builds
     one for a single query. Entries are ordered by query, then by context
-    position (``context_of`` order). ``num`` and ``mirrored`` are None when
-    counts were not asked for, and a one-query block leaves ``mirrored``
-    None when its model does not read it.
+    position (``context_of`` order). ``num`` is None when counts were not
+    asked for, ``mirrored`` also when its model does not read it.
     """
 
     queries: np.ndarray            # (Q_b,) indices into the caller's query arrays
@@ -484,14 +486,17 @@ class EvidenceBlock:
     mirrored: Optional[np.ndarray] # (m, L) count(x, ANY, j, l) for every label l
 
 
-def context_evidence(graph: SignedGraph, initiators, receivers, with_counts: bool = True):
+def context_evidence(graph: SignedGraph, initiators, receivers,
+                     mirrored: Optional[bool] = True):
     """Yield the context entries of many queries, one receiver block at a time.
 
     Query q is ``initiators[q] -> receivers[q]``; its context is that of
-    ``context_of``. The counts equal ``CooccurrenceCounts.count`` on
-    ``graph``. At node level ANY counts are sums over labels, so
-    count(j, ANY, x, l_x) is ``num.sum(axis=1)``; the mirrored counts come
-    from the same block table.
+    ``context_of``. The counts are gathered from each block's
+    ``block_table`` as ``CooccurrenceCounts.query_counts`` gathers one
+    receiver's, and equal ``CooccurrenceCounts.count`` on ``graph``. At
+    node level ANY counts are sums over labels, so count(j, ANY, x, l_x) is
+    ``num.sum(axis=1)``. ``mirrored`` None builds no counts, False ``num``
+    alone, True ``num`` and the mirrored counts.
     """
     initiators = np.asarray(initiators, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
@@ -509,13 +514,11 @@ def context_evidence(graph: SignedGraph, initiators, receivers, with_counts: boo
         sizes = np.bincount(row, minlength=q.size)
         position = np.arange(row.size) - (np.cumsum(sizes) - sizes)[row]
         x, lx = heads[e], labels[e]
-        num = mirrored = None
-        if with_counts:
-            table = block_table(graph, block)
-            b = np.searchsorted(block, j[row])
-            num = table[b, :, x, lx]
-            mirrored = table.sum(axis=3)[b, :, x]
-        yield EvidenceBlock(q, sizes, row, position, x, lx, num, mirrored)
+        num = mir = None
+        if mirrored is not None:
+            num, mir = _gather(block_table(graph, block), np.searchsorted(block, j[row]),
+                               x, lx, mirrored)
+        yield EvidenceBlock(q, sizes, row, position, x, lx, num, mir)
 
 
 # -- cluster-level counts -----------------------------------------------------
@@ -642,7 +645,7 @@ def save_nam_snapshot(counts: CooccurrenceCounts, path) -> None:
     Plain integers only, so files are identical across platforms. The file
     is an export: nothing reads it back.
     """
-    if counts.strategy != "precomputed":
+    if counts.store is None:
         raise ValueError("only precomputed count tables can be snapshotted")
     g = counts.graph
     with open(path, "w", encoding="utf-8") as fh:
@@ -714,8 +717,9 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     raises ValueError before anything is changed.
 
     Args:
-        counts: node-level counts; a precomputed store is updated in place,
-            an on_demand instance is merely rebound to the new graph.
+        counts: node-level counts; a store is updated in place, and
+            counts without one (``on_demand``) are only rebound to the new
+            graph, which they count from.
         cluster_counts: cluster-level table, updated in place; its partition
             gains assignments for new nodes.
         graph: the current graph snapshot.
@@ -790,7 +794,7 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     # through a gained edge, minus those through a lost one), and the pair
     # counts phase 3a retracts must all exist.
     tails = np.unique(b_src[changed])
-    if counts.strategy == "precomputed":
+    if counts.store is not None:
         gained, g_sign = _pairs_through(new_graph, b_src[changed], b_dst[changed],
                                         b_lbl[changed], n_new)
         lost, l_sign = _pairs_through(graph, b_src[relabel], b_dst[relabel],
@@ -841,7 +845,7 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     # Phase 4: the node store takes its delta; per cluster s of the changed
     # tails, the cluster table adds N.T @ N - O.T @ O over their incidence
     # rows in the new (N) and the old (O) graph, under the final assignment.
-    if counts.strategy == "precomputed":
+    if counts.store is not None:
         counts.store.renumber(n_new)
         counts.store.add(nam_codes[moved], nam_delta[moved])
     assignment, old = partition.assignment, tails[tails < n_old]

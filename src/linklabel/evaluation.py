@@ -328,7 +328,7 @@ def param_sample_cdf(graph: SignedGraph, fold_plan: FoldPlan, model_kind: str,
     for f in range(fold_plan.k):
         train = _train_graph_for_fold(graph, fold_plan, f)
         test = np.flatnonzero(fold_plan.fold_of_edge == f)
-        for blk in context_evidence(train, src[test], dst[test]):
+        for blk in context_evidence(train, src[test], dst[test], kind == "lcgm"):
             # ltlgm: count(j, ANY, x, l_x); lcgm: count(x, ANY, j, l) per label.
             all_counts.append(blk.num.sum(axis=1) if kind == "ltlgm" else blk.mirrored.ravel())
     arr = np.concatenate(all_counts) if all_counts else np.empty(0, dtype=np.int64)

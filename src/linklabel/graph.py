@@ -111,7 +111,9 @@ class SignedGraph:
     views: out-adjacency per node, and one in-adjacency index split by label
     (each in-list strictly sorted by tail id).  A node's pooled in-list is
     read from its L contiguous label slices.  Safe for concurrent readers;
-    never mutated after construction.
+    never mutated after construction: counts and predictions read the CSR
+    arrays and cache nothing on the graph (only the external-id dict is
+    built lazily, on the first id lookup).
     """
 
     def __init__(self, node_count, src, dst, lbl, alphabet, external_ids):
@@ -136,8 +138,6 @@ class SignedGraph:
         self._inl_src = self._src[order]
         key = self._dst[order] * L + self._lbl[order]
         self._inl_ptr = np.searchsorted(key, np.arange(n * L + 1))
-
-        self._tail_set_cache: dict = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -214,15 +214,6 @@ class SignedGraph:
             return np.sort(self._inl_src[self._inl_ptr[u * L]:self._inl_ptr[(u + 1) * L]])
         k = u * L + label
         return self._inl_src[self._inl_ptr[k]:self._inl_ptr[k + 1]]
-
-    def tail_set(self, u: int, label: Optional[int] = None) -> frozenset:
-        """``in_tails`` as a cached frozenset, for fast intersections."""
-        key = (u, label)
-        s = self._tail_set_cache.get(key)
-        if s is None:
-            s = frozenset(self.in_tails(u, label).tolist())
-            self._tail_set_cache[key] = s
-        return s
 
     @property
     def edge_arrays(self):
@@ -471,13 +462,11 @@ class PredictionQuery:
 class Context:
     """The initiator's labeled out-edges, excluding any edge to the receiver.
 
-    This is the conditioning information of every predictor.  Weights are
-    uniform and sum to 1 when nonempty.
+    This is the conditioning information of every predictor.
     """
 
     heads: np.ndarray
     labels: np.ndarray
-    weights: np.ndarray
 
     def __len__(self) -> int:
         return int(self.heads.size)
@@ -495,10 +484,7 @@ def context_of(graph: SignedGraph, query: PredictionQuery) -> Context:
         raise ValueError("query node out of range")
     heads, labels = graph.out_arrays(i)
     m = heads != j
-    heads, labels = heads[m], labels[m]
-    k = heads.size
-    weights = np.full(k, 1.0 / k) if k else np.empty(0)
-    return Context(heads, labels, weights)
+    return Context(heads[m], labels[m])
 
 
 def graph_stats(graph: SignedGraph, report: Optional[LoadReport] = None) -> dict:

@@ -230,9 +230,7 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
         raise ValueError(f"model {kind} needs node-level counts")
     if kind == "prior":
         return class_prior(graph)
-    # The mirrored counts cost L more lookups per entry; only these read them.
-    mirrored = kind in ("lcgm", "scgm") or (kind == "stlgm" and config.lambda_mode == "paper")
-    blk = _query_evidence(graph, counts if kind in LOCAL_KINDS else None, query, mirrored)
+    blk = _query_evidence(graph, counts, query, _mirrored(kind, config))
     glob = None
     if kind in CLUSTER_KINDS:
         asg = partition.assignment
@@ -245,12 +243,20 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
     return LabelDistribution.from_probs(probs[0], support)
 
 
-def _query_evidence(graph: SignedGraph, counts, query: PredictionQuery, mirrored: bool):
-    """The ``EvidenceBlock`` of one query, its counts read from ``counts`` if given."""
+def _mirrored(kind: str, config: SmoothingConfig) -> Optional[bool]:
+    """The node-level counts a kind reads: None none, False ``num``, True also the mirrored."""
+    if kind not in LOCAL_KINDS:
+        return None
+    return kind in ("lcgm", "scgm") or (kind == "stlgm" and config.lambda_mode == "paper")
+
+
+def _query_evidence(graph: SignedGraph, counts, query: PredictionQuery,
+                    mirrored: Optional[bool]):
+    """The ``EvidenceBlock`` of one query, its counts read from ``counts`` as ``_mirrored`` says."""
     ctx = context_of(graph, query)
     m = len(ctx)
     num = mir = None
-    if counts is not None:
+    if mirrored is not None:
         num, mir = counts.query_counts(query.receiver, ctx.heads, ctx.labels, mirrored)
     return EvidenceBlock(np.zeros(1, dtype=np.int64), np.array([m]),
                          np.zeros(m, dtype=np.int64), np.arange(m),
@@ -298,8 +304,7 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
         defined[:] = True
         return probs, defined
     log_prior = _log_prior(kind, graph, config)
-    for blk in context_evidence(graph, initiators, receivers,
-                                with_counts=kind in LOCAL_KINDS):
+    for blk in context_evidence(graph, initiators, receivers, _mirrored(kind, config)):
         glob = None
         if kind in CLUSTER_KINDS:
             asg = partition.assignment

@@ -37,7 +37,8 @@ def ltlgm(graph, counts, query, collect_support=False):
     support = [] if collect_support else None
     acc = np.zeros(L)
     weight = 0.0
-    for (x, lx), w in zip(ctx.entries(), ctx.weights.tolist()):
+    for x, lx in ctx.entries():
+        w = 1.0 / len(ctx)
         den = counts.count(j, ANY, x, lx)
         if collect_support:
             support.append({"head": x, "label": lx, "n_local": den,
@@ -85,7 +86,8 @@ def gtlgm(graph, cluster_counts, partition, query, collect_support=False):
     support = [] if collect_support else None
     acc = np.zeros(L)
     weight = 0.0
-    for (x, lx), w in zip(ctx.entries(), ctx.weights.tolist()):
+    for x, lx in ctx.entries():
+        w = 1.0 / len(ctx)
         cx = int(asg[x])
         den = cluster_counts.count(s, cx, lx, cj, ANY)
         if collect_support:
@@ -141,7 +143,8 @@ def stlgm(graph, counts, cluster_counts, partition, query, config, collect_suppo
     support = [] if collect_support else None
     acc = np.zeros(L)
     weight = 0.0
-    for (x, lx), w in zip(ctx.entries(), ctx.weights.tolist()):
+    for x, lx in ctx.entries():
+        w = 1.0 / len(ctx)
         lden = counts.count(j, ANY, x, lx)
         cx = int(asg[x])
         gden = cluster_counts.count(s, cx, lx, cj, ANY)

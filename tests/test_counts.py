@@ -5,15 +5,18 @@ import pytest
 
 from linklabel import (
     ANY,
+    MODEL_KINDS,
     BudgetExceededError,
     ClusterCounts,
     CooccurrenceCounts,
     Partition,
+    PredictionQuery,
     SignedGraph,
+    SmoothingConfig,
     apply_edge_batch,
     build_precomputed_nam,
     generate_planted,
-    nam_count,
+    predict,
     projected_pair_cost,
     save_cam_snapshot,
     save_nam_snapshot,
@@ -25,21 +28,24 @@ import oracles
 
 # -- node-level values ----------------------------------------------------------
 
-def test_g1_values(g1):
-    assert nam_count(g1, J, 0, X, 0) == 2      # {w1, w3}
-    assert nam_count(g1, J, ANY, X, 0) == 3    # {w1, w2, w3}
+def test_g1_values():
+    nam_count = oracles.nam(G1_EDGES, 6, 2)
+    assert nam_count(J, 0, X, 0) == 2          # {w1, w3}
+    assert nam_count(J, None, X, 0) == 3       # {w1, w2, w3}
 
 
 def test_self_intersection_is_tail_size(g1):
+    count = CooccurrenceCounts.on_demand(g1).count
+    t_any, t_lab = oracles.tail_sets(G1_EDGES, 6, 2)
     for m in range(6):
-        for l in (ANY, 0, 1):
-            lab = None if l == ANY else l
-            assert nam_count(g1, m, l, m, l) == len(g1.tail_set(m, lab))
+        assert count(m, ANY, m, ANY) == len(t_any[m])
+        for l in (0, 1):
+            assert count(m, l, m, l) == len(t_lab[m][l])
 
 
 def test_disjoint_neighborhoods_give_zero():
-    g = SignedGraph.from_edges(4, [(0, 2, 0), (1, 3, 0)])
-    assert nam_count(g, 2, ANY, 3, ANY) == 0
+    nam_count = oracles.nam([(0, 2, 0), (1, 3, 0)], 4, 2)
+    assert nam_count(2, None, 3, None) == 0
 
 
 def test_invariants_bulk():
@@ -49,17 +55,17 @@ def test_invariants_bulk():
     for seed in range(6):
         g, edges, n, L = random_graph(seed, n=25, edge_prob=0.2)
         oracle = oracles.nam(edges, n, L)
+        count = CooccurrenceCounts.on_demand(g).count
         for _ in range(700):
             m, nn = rng.integers(n, size=2)
             l, lp = rng.integers(-1, L, size=2)
-            c = nam_count(g, m, l, nn, lp)
-            assert c == nam_count(g, nn, lp, m, l)
+            c = count(m, l, nn, lp)
+            assert c == count(nn, lp, m, l)
             la = None if l == ANY else l
             lb = None if lp == ANY else lp
-            assert c <= min(len(g.tail_set(m, la)), len(g.tail_set(nn, lb)))
+            assert c <= min(len(g.in_tails(m, la)), len(g.in_tails(nn, lb)))
             assert c == oracle(m, la, nn, lb)
-            assert sum(nam_count(g, m, q, nn, lp) for q in range(L)) == \
-                nam_count(g, m, ANY, nn, lp)
+            assert sum(count(m, q, nn, lp) for q in range(L)) == count(m, ANY, nn, lp)
             checked += 3
     assert checked >= 10_000
 
@@ -74,6 +80,34 @@ def test_precomputed_equals_on_demand():
                 for l in (ANY, *range(L)):
                     for lp in (ANY, *range(L)):
                         assert pre.count(m, l, nn, lp) == dem.count(m, l, nn, lp)
+
+
+def test_reads_leave_graph_unchanged(g1):
+    # On-demand counts read the graph's CSR arrays and cache nothing on it.
+    def state():
+        return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+                for k, v in vars(g1).items()}
+
+    counts = CooccurrenceCounts.on_demand(g1)
+    part = Partition.from_assignment(g1, np.arange(6) % 2, K=2)
+    cc = ClusterCounts.from_partition(g1, part)
+    cfg = SmoothingConfig(lambda_mode="paper")
+    before = state()
+    for m in range(6):
+        for n in range(6):
+            for l in (ANY, 0, 1):
+                for lp in (ANY, 0, 1):
+                    counts.count(m, l, n, lp)
+            if m == n:
+                continue
+            heads, labels = g1.out_arrays(m)
+            counts.query_counts(n, heads, labels, mirrored=True)
+            for kind in MODEL_KINDS:
+                predict(kind, g1, PredictionQuery(m, n), counts=counts, cluster_counts=cc,
+                        partition=part, config=cfg)
+    after = state()
+    assert after.keys() == before.keys()
+    assert after == before
 
 
 def test_star_concrete_entry_count():
@@ -397,5 +431,6 @@ def test_batch_with_on_demand_counts_rebinds(g1):
     ext = g1.external_of
     new_g, _ = apply_edge_batch(counts, cc, g1, [(ext(0), ext(1), 0)])
     assert counts.graph is new_g
-    assert counts.count(1, 0, 2, 0) == nam_count(new_g, 1, 0, 2, 0)
+    edges = list(zip(*(a.tolist() for a in new_g.edge_arrays)))
+    assert counts.count(1, 0, 2, 0) == oracles.nam(edges, new_g.node_count, 2)(1, 0, 2, 0)
     assert cc.table == ClusterCounts.from_partition(new_g, part).table

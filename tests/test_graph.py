@@ -137,9 +137,9 @@ def test_from_edges_normalizes():
 def test_tail_sets_match_oracle(g1):
     t_any, t_lab = oracles.tail_sets(G1_EDGES, 6, 2)
     for u in range(6):
-        assert g1.tail_set(u) == frozenset(t_any[u])
+        assert g1.in_tails(u).tolist() == sorted(t_any[u])
         for l in range(2):
-            assert g1.tail_set(u, l) == frozenset(t_lab[u][l])
+            assert g1.in_tails(u, l).tolist() == sorted(t_lab[u][l])
 
 
 def test_in_tails_sorted(g1):
@@ -164,7 +164,6 @@ def test_context_excludes_receiver():
     g = SignedGraph.from_edges(4, [(0, 1, 0), (0, 2, 1), (0, 3, 0)])
     ctx = context_of(g, PredictionQuery(0, 3))
     assert sorted(ctx.entries()) == [(1, 0), (2, 1)]
-    assert ctx.weights.tolist() == [0.5, 0.5]
 
 
 def test_context_isolated_initiator(g1):

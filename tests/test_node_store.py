@@ -81,22 +81,27 @@ def test_stream_matches_dict_oracle_after_every_batch(L):
     assert counts.table == build_precomputed_nam(g).table
 
 
-def test_out_of_range_keys_read_zero():
+@pytest.mark.parametrize("build", [build_precomputed_nam, CooccurrenceCounts.on_demand],
+                         ids=["store", "on_demand"])
+def test_out_of_range_keys_read_zero(build):
     g, _ = generate_planted(40, 3, 0.3, 0.1, seed=3)
-    counts = build_precomputed_nam(g)
+    counts = build(g)
     N, L = g.node_count, g.alphabet.size
-    m, l, x, lp = next(k for k in counts.table
+    m, l, x, lp = next(k for k in build_precomputed_nam(g).table
                        if k[0] >= 1 and k[1] == 1 and k[2] >= 1 and k[3] == 1)
     assert counts.count(m, l, x, lp) > 0
-    # Without the range check each of these would read the code of (m, l, x, lp).
+    # Without the range check each of these would read the count of (m, l, x, lp).
     aliases = [(m - 1, l + L, x, lp), (m, l - 1, x + N, lp), (m, l, x - 1, lp + L)]
     others = [(N, 0, 0, 0), (-1, 0, 0, 0), (0, 0, -1, 0), (0, L, 0, 0),
               (0, -2, 0, 0), (0, 0, N, 0), (0, 0, 0, L), (N, ANY, N, ANY)]
     for key in aliases + others:
         assert counts.count(*key) == 0
-        assert key not in counts.table and counts.table.get(key) is None
+        if counts.table is not None:
+            assert key not in counts.table and counts.table.get(key) is None
+    with pytest.raises(TypeError):
+        counts.count(m + 0.0, l, x, lp)
     for bad in ("x", (1, 2), (0, 0, 0, "a"), (m + 0.5, l, x, lp)):
-        assert bad not in counts.table
+        assert counts.table is None or bad not in counts.table
 
 
 def test_hub_tail_batch_matches_dict_oracle():

@@ -312,7 +312,9 @@ class CooccurrenceCounts:
     updates keep current; ``table`` is its read-only mapping view.
     ``on_demand`` gives one without a store (``table`` None): each read
     counts the co-pointers of one node with ``block_table`` on the graph,
-    which it never changes.
+    which it never changes. Such a read costs O(n * L**2) (one dense
+    receiver table); callers that need many counts should use
+    ``query_counts`` once per query or ``predict_many``.
     """
 
     def __init__(self, graph: SignedGraph, store: Optional[NodeCountStore] = None,
@@ -327,7 +329,10 @@ class CooccurrenceCounts:
         return cls(graph)
 
     def count(self, m: int, l: int, n: int, lp: int) -> int:
-        """count(m, l, n, lp); an ANY label sums over its labels, a key out of range is 0."""
+        """count(m, l, n, lp); an ANY label sums over its labels, a key out of range is 0.
+
+        Without a store each call builds m's ``block_table``, O(n * L**2).
+        """
         if self.store is not None:
             return self.store.count(m, l, n, lp)
         g = self.graph
@@ -435,25 +440,18 @@ def receiver_blocks(graph: SignedGraph, receivers) -> list:
 def block_table(graph: SignedGraph, block: np.ndarray) -> np.ndarray:
     """Co-pointing counts of a receiver block: ``T[b, l, x, lp] = count(block[b], l, x, lp)``.
 
-    A receiver's L label slices of the in-adjacency index are contiguous, so
-    its in-tails are one range; they are expanded through their out-edges
-    and counted with one ``np.bincount`` of n * L**2 cells per receiver.
+    The label-split in-tails of the block's receivers are expanded through
+    their out-edges and counted with one ``np.bincount`` of n * L**2 cells
+    per receiver.
     """
     out_ptr, heads, labels, in_ptr, in_tails = graph.csr()
     n, L = graph.node_count, graph.alphabet.size
-    if block.size == 1:             # one receiver's in-tails: one slice, no gather
-        r = int(block[0]) * L
-        slots = in_ptr[r:r + L + 1]
-        tails = in_tails[slots[0]:slots[L]]
-        sizes = slots[1:] - slots[:-1]
-    else:
-        slots = in_ptr[block[:, None] * L + np.arange(L + 1)]     # (B, L + 1) bounds
-        tails = in_tails[_ranges(slots[:, 0], slots[:, L])[0]]
-        sizes = (slots[:, 1:] - slots[:, :-1]).ravel()
-    row = np.arange(sizes.size).repeat(sizes)                 # b * L + l of each in-tail
+    rows = (block[:, None] * L + np.arange(L)).ravel()        # row b * L + l
+    t, row = _ranges(in_ptr[rows], in_ptr[rows + 1])
+    tails = in_tails[t]
     e, k = _ranges(out_ptr[tails], out_ptr[tails + 1])
     key = (row[k] * n + heads[e]) * L + labels[e]
-    return np.bincount(key, minlength=sizes.size * n * L).reshape(block.size, L, n, L)
+    return np.bincount(key, minlength=rows.size * n * L).reshape(block.size, L, n, L)
 
 
 def _gather(table: np.ndarray, b, x, lx, mirrored: bool):

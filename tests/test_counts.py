@@ -28,10 +28,11 @@ import oracles
 
 # -- node-level values ----------------------------------------------------------
 
-def test_g1_values():
+def test_g1_values(g1):
     nam_count = oracles.nam(G1_EDGES, 6, 2)
-    assert nam_count(J, 0, X, 0) == 2          # {w1, w3}
-    assert nam_count(J, None, X, 0) == 3       # {w1, w2, w3}
+    count = CooccurrenceCounts.on_demand(g1).count
+    assert nam_count(J, 0, X, 0) == count(J, 0, X, 0) == 2          # {w1, w3}
+    assert nam_count(J, None, X, 0) == count(J, ANY, X, 0) == 3     # {w1, w2, w3}
 
 
 def test_self_intersection_is_tail_size(g1):
@@ -44,8 +45,9 @@ def test_self_intersection_is_tail_size(g1):
 
 
 def test_disjoint_neighborhoods_give_zero():
-    nam_count = oracles.nam([(0, 2, 0), (1, 3, 0)], 4, 2)
-    assert nam_count(2, None, 3, None) == 0
+    edges = [(0, 2, 0), (1, 3, 0)]
+    count = CooccurrenceCounts.on_demand(SignedGraph.from_edges(4, edges)).count
+    assert oracles.nam(edges, 4, 2)(2, None, 3, None) == count(2, ANY, 3, ANY) == 0
 
 
 def test_invariants_bulk():

@@ -407,8 +407,10 @@ def write_partition(partition: Partition, graph: SignedGraph, path) -> None:
 def read_partition(path, graph: SignedGraph, K: Optional[int] = None) -> Partition:
     """Read a partition written by ``write_partition`` and bind it to ``graph``.
 
-    Every node of the graph must be covered; K is taken from the file header
-    when present, else from the maximum id seen (or the explicit argument).
+    Every node of the graph must be listed exactly once, with a cluster id
+    >= 0; K is taken from the file header when present, else from the
+    maximum id seen (or the explicit argument). A bad line raises
+    ``ValueError("path:lineno: ...")``.
     """
     assignment = np.full(graph.node_count, -1, dtype=np.int64)
     file_k = None
@@ -426,7 +428,18 @@ def read_partition(path, graph: SignedGraph, K: Optional[int] = None) -> Partiti
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'node cluster'")
             node, cl = parts
-            assignment[graph.node_of(node)] = int(cl)
+            if not graph.has_node(node):
+                raise ValueError(f"{path}:{lineno}: node {node!r} is not in the graph")
+            try:
+                cl = int(cl)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: cluster id {cl!r} is not an integer") from None
+            if cl < 0:
+                raise ValueError(f"{path}:{lineno}: cluster id {cl} is negative")
+            v = graph.node_of(node)
+            if assignment[v] >= 0:
+                raise ValueError(f"{path}:{lineno}: node {node!r} is listed twice")
+            assignment[v] = cl
     missing = int(np.sum(assignment < 0))
     if missing:
         raise ValueError(f"{path}: {missing} graph nodes have no cluster assignment")

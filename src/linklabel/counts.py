@@ -41,7 +41,7 @@ which is merged into the main run only when it outgrows a fixed fraction
 of it (the log-structured merge of O'Neil et al., Acta
 Informatica 33, 1996). On the 2,000-node, 34k-edge serve-stream graph the
 store holds 0.57M entries (9 MB) after a ~0.04 s build and 0.78M after 315
-stream batches, against 2.23M and 3.04M entries of the dict it replaced.
+stream batches.
 
 The cluster table is one dense ``int64`` array (K, K, L + 1, K, L + 1), ANY
 at label index 0. A node's 0/1 incidence row (``_incidence_rows``) marks
@@ -49,8 +49,7 @@ each (cluster, label) and (cluster, ANY) it points into; cluster s's slice
 is R.T @ R over its nodes' rows, and a stream batch adds N.T @ N - O.T @ O
 over its changed tails' rows in the new and the old graph. Queries read
 it by fancy indexing (``cluster_evidence``). At K = 30, L = 2 it has
-243k cells (1.9 MB), built in ~0.01–0.02 s on the serve-stream graph, where
-the dict of 5-tuples it replaced held 200k entries and took ~0.9 s. Every
+243k cells (1.9 MB), built in ~0.01–0.02 s on the serve-stream graph. Every
 batch also builds a new ``SignedGraph`` (O(edges) in numpy).
 """
 

@@ -26,8 +26,9 @@ from .clustering import ClusterConfig, cluster
 from .counts import ClusterCounts, context_evidence
 from .graph import SignedGraph, sparsify
 # ``predict`` stays importable here, where callers may patch it.
-from .predictors import (CLUSTER_KINDS, MODEL_KINDS, SmoothingConfig,  # noqa: F401
-                         class_prior, decide_many, predict, predict_many)
+from .predictors import (CLUSTER_KINDS, LOCAL_KINDS, MODEL_KINDS,  # noqa: F401
+                         TARGET_KINDS, SmoothingConfig, _local_den, _mirrored, class_prior,
+                         decide_many, predict, predict_many)
 
 
 @dataclass
@@ -45,9 +46,9 @@ class FoldPlan:
 def make_folds(graph: SignedGraph, k: int, seed: int, stratified: bool = False) -> FoldPlan:
     """Deal edges round-robin into k folds after a seeded shuffle.
 
-    Fold sizes differ by at most one. With ``stratified`` the shuffle-and-
-    deal happens within each label class separately, keeping per-fold label
-    shares close to global.
+    Fold sizes differ by at most one. With ``stratified`` each label class
+    is shuffled separately and the deal carries on from one class to the
+    next, keeping per-fold label shares close to global.
 
     Args:
         graph: the graph whose edges are split.
@@ -67,10 +68,12 @@ def make_folds(graph: SignedGraph, k: int, seed: int, stratified: bool = False) 
     fold = np.empty(e, dtype=np.int64)
     if stratified:
         _, _, lbl = graph.edge_arrays
+        dealt = 0
         for l in range(graph.alphabet.size):
             idx = np.flatnonzero(lbl == l)
             perm = idx[rng.permutation(idx.size)]
-            fold[perm] = np.arange(perm.size) % k
+            fold[perm] = (dealt + np.arange(perm.size)) % k
+            dealt += perm.size
     else:
         perm = rng.permutation(e)
         fold[perm] = np.arange(e) % k
@@ -321,16 +324,16 @@ def param_sample_cdf(graph: SignedGraph, fold_plan: FoldPlan, model_kind: str,
         {"model", "total_parameters", "fractions": {t: fraction}}.
     """
     kind = model_kind.lower()
-    if kind not in ("ltlgm", "lcgm"):
+    if kind not in LOCAL_KINDS or kind in CLUSTER_KINDS:
         raise ValueError("sample-count analysis applies to the local models only")
     src, dst, _ = graph.edge_arrays
+    mirrored = _mirrored(kind, SmoothingConfig())
     all_counts = []
     for f in range(fold_plan.k):
         train = _train_graph_for_fold(graph, fold_plan, f)
         test = np.flatnonzero(fold_plan.fold_of_edge == f)
-        for blk in context_evidence(train, src[test], dst[test], kind == "lcgm"):
-            # ltlgm: count(j, ANY, x, l_x); lcgm: count(x, ANY, j, l) per label.
-            all_counts.append(blk.num.sum(axis=1) if kind == "ltlgm" else blk.mirrored.ravel())
+        for blk in context_evidence(train, src[test], dst[test], mirrored):
+            all_counts.append(_local_den(blk, kind in TARGET_KINDS).ravel())
     arr = np.concatenate(all_counts) if all_counts else np.empty(0, dtype=np.int64)
     fractions = {int(t): (float((arr < t).mean()) if arr.size else 0.0)
                  for t in thresholds}

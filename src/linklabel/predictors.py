@@ -1,67 +1,55 @@
 """The six link-label models plus the prior fallback and decision rule.
 
-All models answer the same question: given a directed edge whose label is
-unknown, and the initiator's other labeled out-edges as context, what is the
-probability of each label? They differ in which statistics back the answer:
+All models answer the same question: given a directed edge i -> j whose
+label is unknown, and the initiator's other labeled out-edges (x, l_x) as
+context, what is the probability of each label l? Each is one of two
+combinators over one or two sides of evidence:
 
-* LTLGM / LCGM use node-level co-pointing counts (local evidence);
-* GTLGM / GCGM use the same constructions lifted to cluster level, which is
-  dense but coarse;
-* STLGM / SCGM blend each local estimate with its cluster-level counterpart
-  through a Dirichlet-style weight lambda = mu / (n + mu), where n measures
-  how much local evidence exists: scarce evidence pushes weight onto the
-  cluster statistics.
+* the *target-link* models (LTLGM, GTLGM, STLGM) average one label
+  distribution per context entry, with uniform weights;
+* the *context-generator* models (LCGM, GCGM, SCGM) multiply one
+  conditional p(l_x | l) per entry into the class prior, naive-Bayes style,
+  in log space, and normalize.
 
-The *target-link* models (LTLGM, GTLGM, STLGM) average one label
-distribution per context edge; the *context-generator* models (LCGM, GCGM,
-SCGM) multiply per-context-edge conditionals under each candidate label,
-naive-Bayes style, in log space.
+With s, c_x and c_j the clusters of i, x and j, each side estimates
+(num + alpha) / den where den > 0 (its support), and 0 elsewhere. num is
+count(j, l, x, l_x) on the local (node-level) side and cam(s, c_x, l_x, c_j,
+l), the cluster-s nodes reaching c_x with l_x and c_j with l, on the global
+(cluster-level) side. den is, for target-link, num's sum over labels: the
+count(j, ANY, x, l_x), or a sum of overlapping cluster counts, positive where
+cam(s, c_x, l_x, c_j, ANY) is. For context-generator it is the mirrored
+count(x, ANY, j, l), or cam(s, c_x, ANY, c_j, l), plus alpha * L. The floor
+alpha = lcgm_floor_alpha holds for LCGM and GCGM only; it is 0 elsewhere.
 
-Per context edge (x, l_x) of a query i -> j, with s, c_x and c_j the
-clusters of i, x and j, and cam(...) a cluster-level count:
+LTLGM and LCGM answer from the local side, GTLGM and GCGM from the global
+side. STLGM and SCGM mix the two, (1 - lambda) * local + lambda * global:
+lambda = 1 where only the global side has support, 0 where only the local
+side has, and mu / (n + mu) where both have (the Dirichlet weight of Zhai &
+Lafferty, ACM TOIS 2004); mu = 0 gives lambda = 0. n is the local
+estimate's own denominator in "support" mode, the other local count in
+"paper" mode: count(x, ANY, j, l) for STLGM, count(j, ANY, x, l_x) for SCGM.
+Only STLGM's paper-mode mix, label-dependent, is renormalized where both
+sides have support.
 
-* ltlgm: term_l = count(j, l, x, l_x) / count(j, ANY, x, l_x). Entries with
-  a zero denominator are skipped and the uniform weights renormalize over
-  the survivors; with no survivor the result is undefined.
-* lcgm: score(l) = prior(l) * prod p(l_x | l), with p(l_x | l) =
-  count(j, l, x, l_x) / count(x, ANY, j, l), Laplace-floored with alpha =
-  lcgm_floor_alpha. With alpha = 0 a factor whose denominator is empty for
-  some label is skipped for every label. Scores are normalized; all-zero
-  scores are undefined and an empty context returns the prior.
-* gtlgm: ltlgm over cluster incidence sets: term_l is cam(s, c_x, l_x,
-  c_j, l), the cluster-s nodes reaching c_x with l_x and c_j with l,
-  renormalized over labels (per-label counts can overlap at cluster level).
-  Entries with cam(s, c_x, l_x, c_j, ANY) = 0 are skipped.
-* gcgm: lcgm with p(l_x | l) = cam(s, c_x, l_x, c_j, l) / cam(s, c_x, ANY,
-  c_j, l); the same floor, skip rule and prior.
-* stlgm: each entry contributes (1 - lambda) * local + lambda * global,
-  lambda = mu / (n + mu). In "support" mode n is the entry's local
-  denominator, so lambda is label-independent; in "paper" mode n is
-  count(x, ANY, j, l) and the blend is renormalized. An entry without a
-  local term goes fully global, one without a global term stays local, one
-  with neither is skipped; no survivor is undefined.
-* scgm: each factor mixes the unfloored lcgm and the gcgm conditionals with
-  lambda' = mu / (n' + mu), n' being the local factor's own denominator
-  ("support", per label) or count(j, ANY, x, l_x) ("paper"). Labels without
-  local support go global, labels without global support stay local, and a
-  factor where some label has neither is skipped for every label. The
-  product, normalization and empty context are lcgm's.
-
-Every model returns a LabelDistribution which is either defined (a proper
-distribution) or undefined, in which case ``decide`` substitutes the class
-prior and flags the fallback. Undefined arises when no context entry has any
-usable support; the skip rules below treat all labels symmetrically so no
-label is ever favored by missing data alone.
+Skip rules treat all labels alike, so no label is favored by missing data
+alone. A target-link entry without support on any side it reads is skipped
+and the weights renormalize over the survivors. A context-generator factor
+is skipped for every label when some label has no support on either side;
+with alpha > 0 every LCGM and GCGM factor has support. Every model returns
+a LabelDistribution, either defined (a proper distribution) or undefined,
+in which case ``decide`` substitutes the class prior and flags the
+fallback. A target-link query without a surviving entry is undefined, as
+are all-zero generator scores; an empty context gives a generator the prior.
 
 One evidence layer and one combine serve every model and both entry
 points. Evidence is an ``EvidenceBlock``: context entries with their
-node-level counts, plus the entries' cluster-level counts. ``predict`` fills
-a block of one query through ``CooccurrenceCounts.query_counts``, so any
-count store serves it; ``predict_many`` fills blocks of many queries with
-one pass over the graph (``context_evidence``). ``_target_terms`` and
-``_factor_logs`` turn a block into per-entry terms or log factors, and
-``_ordered_sum`` adds them per query in context order, the float order of
-a loop over the context. The two entry points therefore give the same
+node-level counts. ``predict`` fills a block of one query through
+``CooccurrenceCounts.query_counts``, so any count store serves it;
+``predict_many`` fills blocks of many queries with one pass over the graph
+(``context_evidence``). ``_answer`` adds the entries' cluster-level counts,
+takes each side's estimate and the mix, and ``_ordered_sum`` adds the
+per-entry terms or log factors per query in context order, the float order
+of a loop over the context. The two entry points therefore give the same
 floats, and ``predict``'s support records come from the same per-entry
 arrays. ``decide_many`` is the matching form of ``decide``.
 """
@@ -162,6 +150,13 @@ def _prior_vector(graph: SignedGraph, config: SmoothingConfig) -> np.ndarray:
     return np.full(L, 1.0 / L)
 
 
+def _tie_order(prior: LabelDistribution) -> list:
+    """Label indices by higher prior, then lower index: the order exact ties break in."""
+    if not prior.defined:
+        raise ValueError("prior must be defined")
+    return sorted(range(prior.probs.size), key=lambda l: (-float(prior.probs[l]), l))
+
+
 def decide(dist: LabelDistribution, prior: LabelDistribution, graph=None):
     """Final label choice: argmax with prior fallback and deterministic ties.
 
@@ -172,14 +167,11 @@ def decide(dist: LabelDistribution, prior: LabelDistribution, graph=None):
     add float terms, so a tie that holds in exact arithmetic can come out
     one ulp apart, and then the larger float wins without the tie rule.
     """
-    if not prior.defined:
-        raise ValueError("prior must be defined")
+    order = _tie_order(prior)
     used_fallback = not dist.defined
     probs = prior.probs if used_fallback else dist.probs
     top = probs.max()
-    cands = np.flatnonzero(probs == top).tolist()
-    label = min(cands, key=lambda l: (-float(prior.probs[l]), l))
-    return label, used_fallback
+    return next(l for l in order if probs[l] == top), used_fallback
 
 
 def decide_many(probs: np.ndarray, defined: np.ndarray, prior: LabelDistribution):
@@ -187,11 +179,9 @@ def decide_many(probs: np.ndarray, defined: np.ndarray, prior: LabelDistribution
 
     Returns (labels, used_fallback) as (Q,) arrays.
     """
-    if not prior.defined:
-        raise ValueError("prior must be defined")
+    order = _tie_order(prior)
     p = np.where(defined[:, None], probs, prior.probs)
     top = p == p.max(axis=1, keepdims=True)
-    order = sorted(range(prior.probs.size), key=lambda l: (-float(prior.probs[l]), l))
     return np.asarray(order)[np.argmax(top[:, order], axis=1)], ~defined
 
 
@@ -207,6 +197,8 @@ def _checked_kind(model_kind: str, graph, counts, cluster_counts, partition) -> 
         raise ValueError("counts must count over the same graph")
     if cluster_counts is not None and cluster_counts.graph is not graph:
         raise ValueError("cluster counts must count over the same graph")
+    if cluster_counts is not None and partition is not cluster_counts.partition:
+        raise ValueError("partition must be the one the cluster counts were built from")
     return kind
 
 
@@ -218,8 +210,9 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
     """Answer one query with the model of the given kind.
 
     Validates that the components the kind requires are present and that
-    any counts given count over ``graph``. The "prior" kind ignores the
-    query and returns the training class prior.
+    any counts given count over ``graph``, the partition being the cluster
+    counts' own. The "prior" kind ignores the query and returns the
+    training class prior.
     Node-level counts are read through ``counts.query_counts``, so a
     precomputed or stream-updated store serves them; the answer equals
     ``predict_many``'s for the same query.
@@ -231,23 +224,23 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
     if kind == "prior":
         return class_prior(graph)
     blk = _query_evidence(graph, counts, query, _mirrored(kind, config))
-    glob = None
-    if kind in CLUSTER_KINDS:
-        asg = partition.assignment
-        glob = cluster_evidence(cluster_counts, asg[query.initiator], asg[blk.heads],
-                                blk.labels, asg[query.receiver])
-    probs, defined, used, lam = _answer(kind, blk, glob, config, _log_prior(kind, graph, config))
-    support = _support(kind, blk, glob, used, lam, config) if collect_support else None
+    probs, defined, used, lam, n = _answer(kind, blk, (query.initiator, query.receiver),
+                                           cluster_counts, config, _log_prior(kind, graph, config))
+    support = _support(kind, blk, used, lam, n) if collect_support else None
     if not defined[0]:
         return LabelDistribution.undefined(support)
     return LabelDistribution.from_probs(probs[0], support)
 
 
 def _mirrored(kind: str, config: SmoothingConfig) -> Optional[bool]:
-    """The node-level counts a kind reads: None none, False ``num``, True also the mirrored."""
+    """The node-level counts a kind reads: None none, False ``num``, True also the mirrored.
+
+    The mirrored counts are the context-generator models' local denominator
+    (``_local_den``), and the other local count that a paper-mode mix reads.
+    """
     if kind not in LOCAL_KINDS:
         return None
-    return kind in ("lcgm", "scgm") or (kind == "stlgm" and config.lambda_mode == "paper")
+    return kind not in TARGET_KINDS or (kind in CLUSTER_KINDS and config.lambda_mode == "paper")
 
 
 def _query_evidence(graph: SignedGraph, counts, query: PredictionQuery,
@@ -272,13 +265,14 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
     Query q is ``initiators[q] -> receivers[q]``. Node-level counts come
     from one receiver-blocked pass over ``graph`` (``context_evidence``),
     cluster-level counts from the dense table (``cluster_evidence``). The
-    per-entry terms and their combine are those of ``predict``.
+    estimates, the mix and the combine are those of ``predict``.
 
     Args:
         counts: optional, since the node-level counts are taken from
             ``graph``; when given it must count over ``graph`` itself.
         cluster_counts, partition: required for the cluster-backed kinds;
-            the cluster counts must count over ``graph``.
+            the cluster counts must count over ``graph``, and ``partition``
+            must be the one they were built from.
         config: smoothing settings (defaults if None).
 
     Returns:
@@ -305,22 +299,18 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
         return probs, defined
     log_prior = _log_prior(kind, graph, config)
     for blk in context_evidence(graph, initiators, receivers, _mirrored(kind, config)):
-        glob = None
-        if kind in CLUSTER_KINDS:
-            asg = partition.assignment
-            q = blk.queries[blk.row]
-            glob = cluster_evidence(cluster_counts, asg[initiators[q]], asg[blk.heads],
-                                    blk.labels, asg[receivers[q]])
-        p, d, _, _ = _answer(kind, blk, glob, config, log_prior)
+        q = blk.queries[blk.row]
+        p, d, _, _, _ = _answer(kind, blk, (initiators[q], receivers[q]), cluster_counts, config,
+                                log_prior)
         probs[blk.queries] = p
         defined[blk.queries] = d
     return probs, defined
 
 
-# -- per-entry terms and the combine ----------------------------------------------------
+# -- per-side estimates, the mix and the combine ----------------------------------------
 
-# How each context entry was used, by the ``used`` codes of _target_terms
-# and _factor_logs: bit 1 marks local evidence, bit 2 global evidence.
+# How each context entry was used, by the ``used`` codes of _answer: bit 1
+# marks local evidence, bit 2 global evidence.
 _USED = ("skipped", "local", "global", "blend")
 
 
@@ -331,85 +321,84 @@ def _log_prior(kind, graph, config):
         return np.log(_prior_vector(graph, config))
 
 
-def _answer(kind, blk, glob, config, log_prior):
-    """(probs, defined, used, lam) of the block's queries: terms, then the combine.
+def _local_den(blk, target: bool):
+    """The local estimate's denominator; the other combinator's is the "other local count".
 
-    Float warnings are silenced: a 0/0 only fills a masked entry or the NaN
-    row of an undefined query, and log(0) = -inf is a factor of zero.
+    count(j, ANY, x, l_x), as an (m, 1) column, divides the target-link
+    models' local estimate; the mirrored count(x, ANY, j, l) divides the
+    context-generator models'.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind in TARGET_KINDS:
-            used, term, lam = _target_terms(kind, blk, glob, config)
-            return (*_average(blk, used, term), used, lam)
-        used, log_p, lam = _factor_logs(kind, blk, glob, config)
-        return (*_log_product(blk, log_p, log_prior), used, lam)
+    return blk.num.sum(axis=1, keepdims=True) if target else blk.mirrored
 
 
-def _target_terms(kind, blk, glob, config):
-    """Per-entry distributions of the target-link models.
+def _estimate(num, den, alpha):
+    """One side's estimate: (num + alpha) / (den + alpha * L) where that is supported, else 0.
 
-    Returns (used, term, lam): the ``used`` code and (m, L) term of every
-    entry, all zero where the entry is skipped, and stlgm's blend weight
-    (None for the other kinds). A one-sided stlgm entry has weight 0 or 1,
-    so its blend is its local or global term exactly.
+    Returns the estimate and its support, a positive floored denominator.
+    Every count num is at most its den, so an unsupported estimate is 0 / 1.
     """
-    if kind == "ltlgm":
-        den = blk.num.sum(axis=1)
-        has = den > 0
-        return has * 1, blk.num / np.where(has, den, 1)[:, None], None
-    gnum, gden, _ = glob
-    gterm = gnum / np.where(gden > 0, gnum.sum(axis=1), 1)[:, None]
-    if kind == "gtlgm":
-        return (gden > 0) * 2, gterm, None
-    lden = blk.num.sum(axis=1)
-    has_l, has_g = lden > 0, gden > 0
-    lden = np.where(has_l, lden, 1)
-    lterm = blk.num / lden[:, None]
-    mu = config.mu
-    if config.lambda_mode == "support":
-        lam = np.where(has_l, np.where(has_g, mu / (lden + mu), 0.0), 1.0)
-        term = (1.0 - lam)[:, None] * lterm + lam[:, None] * gterm
-    else:
-        # mu = 0 is "no smoothing", also where the mirrored count is 0.
-        lam = mu / (blk.mirrored + mu) if mu else np.zeros(lterm.shape)
-        lam = np.where(has_l[:, None], np.where(has_g[:, None], lam, 0.0), 1.0)
-        term = (1.0 - lam) * lterm + lam * gterm
-        # Only a two-sided blend is renormalized. Its sum is positive: gterm
-        # has a positive label and lam > 0 where mu > 0, and with mu = 0 the
-        # blend is lterm.
-        term /= np.where(has_l & has_g, term.sum(axis=1), 1.0)[:, None]
-    return has_l + 2 * has_g, term, lam
+    if alpha:
+        num, den = num + alpha, den + alpha * num.shape[1]
+    has = den > 0
+    return num / np.where(has, den, 1), has
 
 
-def _factor_logs(kind, blk, glob, config):
-    """Per-entry log factors of the context-generator models.
+def _mix(local, has_l, glob, has_g, n, mu):
+    """(1 - lam) * local + lam * glob, and lam.
 
-    Returns (used, log factor, lam): the ``used`` code and (m, L) log
-    factor of every entry, zero where the factor is skipped, and scgm's
-    (m, L) blend weight (None for the other kinds).
+    lam = mu / (n + mu) where both sides have support, 1 where only the
+    global side has, 0 elsewhere; mu = 0 gives lam = 0.
     """
-    alpha, mu = config.lcgm_floor_alpha, config.mu
-    if kind in ("lcgm", "gcgm"):
-        nums, dens = (blk.num, blk.mirrored) if kind == "lcgm" else (glob[0], glob[2])
-        keep = np.all(dens != 0, axis=1) if alpha == 0 else np.ones(dens.shape[0], bool)
-        logs = np.log((nums + alpha) / (dens + alpha * dens.shape[1]))
-        return keep * (1 if kind == "lcgm" else 2), np.where(keep[:, None], logs, 0.0), None
-    gnums, _, gdens = glob
-    lnums, ldens = blk.num, blk.mirrored
-    has_l, has_g = ldens > 0, gdens > 0
-    keep = np.all(has_l | has_g, axis=1)
-    p_loc = np.where(has_l, lnums / ldens, 0.0)
-    p_glob = np.where(has_g, gnums / gdens, 0.0)
-    if config.lambda_mode == "paper":
-        n_prime = lnums.sum(axis=1)
-        lam = (mu / (n_prime + mu) if mu else np.zeros(n_prime.size))[:, None]
-    else:
-        lam = mu / (ldens + mu)
-    # Labels with no local support go fully global and vice versa; the
-    # symmetric skip guarantees these never overlap on a kept factor.
+    lam = mu / (n + mu) if mu else np.zeros(n.shape)
     lam = np.where(has_g, np.where(has_l, lam, 1.0), 0.0)
-    logs = np.log((1.0 - lam) * p_loc + lam * p_glob)
-    return keep * 3, np.where(keep[:, None], logs, 0.0), lam
+    return (1.0 - lam) * local + lam * glob, lam
+
+
+def _answer(kind, blk, ends, cluster_counts, config, log_prior):
+    """(probs, defined, used, lam, n) of the block's queries.
+
+    Each side's estimate, the mix where the kind reads both sides, then the
+    kind's combine. ``ends`` are each entry's initiator and receiver
+    (scalars for one query). ``used`` is each entry's code in ``_USED``,
+    ``lam`` the mix weight (None without a mix) and ``n`` the support count
+    of the local side, else of the global side. Float warnings are
+    silenced: a 0/0 only fills a masked entry or the NaN row of an undefined
+    query, and log(0) = -inf is a factor of zero.
+    """
+    target, local, glob = kind in TARGET_KINDS, kind in LOCAL_KINDS, kind in CLUSTER_KINDS
+    alpha = 0 if target or (local and glob) else config.lcgm_floor_alpha
+    has_l = has_g = False
+    lam = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if local:
+            n = _local_den(blk, target)
+            p_l, has_l = _estimate(blk.num, n, alpha)
+        if glob:
+            asg = cluster_counts.partition.assignment
+            gnum, gany, gmir = cluster_evidence(cluster_counts, asg[ends[0]], asg[blk.heads],
+                                                blk.labels, asg[ends[1]])
+            p_g, has_g = _estimate(gnum, gnum.sum(axis=1, keepdims=True) if target else gmir,
+                                   alpha)
+        if local and glob:
+            paper = config.lambda_mode == "paper"
+            term, lam = _mix(p_l, has_l, p_g, has_g, _local_den(blk, not target) if paper else n,
+                             config.mu)
+            if target and paper:
+                # The label-dependent blend is renormalized where it is
+                # two-sided. Its sum is positive: p_g has a positive label
+                # and lam > 0 where mu > 0, and with mu = 0 the blend is p_l.
+                term /= np.where(has_l & has_g, term.sum(axis=1, keepdims=True), 1.0)
+            has = has_l | has_g
+        elif local:
+            term, has = p_l, has_l
+        else:
+            term, has, n = p_g, has_g, gany if target else gmir
+        if target:
+            used = (has_l + 2 * has_g)[:, 0]
+            return (*_average(blk, used, term), used, lam, n)
+        keep = has.all(axis=1)
+        log_p = np.where(keep[:, None], np.log(term), 0.0)
+        return (*_log_product(blk, log_p, log_prior), keep * (local + 2 * glob), lam, n)
 
 
 def _ordered_sum(blk, values, start):
@@ -444,30 +433,23 @@ def _log_product(blk, log_p, log_prior):
     return w / w.sum(axis=1, keepdims=True), m[:, 0] != -np.inf
 
 
-def _support(kind, blk, glob, used, lam, config) -> list:
-    """``collect_support`` records of one query, from its per-entry arrays.
+def _support(kind, blk, used, lam, n) -> list:
+    """``collect_support`` records of one query, from ``_answer``'s per-entry arrays.
 
-    Every record has the entry's head, label and use. Target-link records
-    carry the entry's ANY count, context-generator records the per-label
-    denominators of a used factor; the smoothed models add lambda for used
-    entries, a float where it is label-independent.
+    Every record has the entry's head, label and use. The one-sided models
+    and STLGM add ``_answer``'s n, which LCGM and GCGM (per label) report for
+    used factors only; the smoothed models add lambda for used entries, a
+    float where STLGM's is label-independent.
     """
+    target = kind in TARGET_KINDS
     cols = {"head": blk.heads.tolist(), "label": blk.labels.tolist(),
             "used": [_USED[u] for u in used.tolist()]}
-    if kind in ("ltlgm", "stlgm"):
-        cols["n_local"] = blk.num.sum(axis=1).tolist()
-    elif kind == "gtlgm":
-        cols["n_global"] = glob[1].tolist()
-    elif kind == "lcgm":
-        cols["n_local"] = blk.mirrored.tolist()
-    elif kind == "gcgm":
-        cols["n_global"] = glob[2].tolist()
-    if kind == "scgm":
-        cols["lambda"] = lam.tolist()
-    elif kind == "stlgm":
+    if lam is None or target:
+        cols["n_local" if kind in LOCAL_KINDS else "n_global"] = (n.ravel() if target else n).tolist()
+    if lam is not None:
         rows = lam.tolist()
-        cols["lambda"] = rows if lam.ndim == 1 else [
-            row if u == 3 else row[0] for row, u in zip(rows, used.tolist())]
-    drop = ("lambda",) if kind in TARGET_KINDS else ("lambda", "n_local", "n_global")
+        cols["lambda"] = rows if not target else [
+            row if u == 3 and len(row) > 1 else row[0] for row, u in zip(rows, used.tolist())]
+    drop = ("lambda",) if target else ("lambda", "n_local", "n_global")
     return [{k: v[e] for k, v in cols.items() if u or k not in drop}
             for e, u in enumerate(used.tolist())]

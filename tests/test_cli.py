@@ -205,6 +205,16 @@ def test_predict_partition_file_reused(capsys, planted_file, tmp_path):
     assert "clustering" not in recs[0]["config"]
 
 
+def test_predict_partition_file_with_unknown_node(capsys, g1_file, tmp_path):
+    part = tmp_path / "part.txt"
+    part.write_text("i 0\nnobody 0\n")
+    q = tmp_path / "q.txt"
+    q.write_text("i j\n")
+    assert main(["predict", "--input", str(g1_file), "--queries", str(q),
+                 "--model", "gtlgm", "--partition-file", str(part)]) == 1
+    assert capsys.readouterr().err == f"error: {part}:2: node 'nobody' is not in the graph\n"
+
+
 # -- evaluate --------------------------------------------------------------------------
 
 def test_evaluate_records(capsys, planted_file):

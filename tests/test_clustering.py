@@ -257,6 +257,21 @@ def test_partition_read_requires_full_coverage(tmp_path):
         read_partition(p, g)
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("0 0\nghost 1\n", 2, "node 'ghost' is not in the graph"),
+    ("0 0\n1 -1\n", 2, "cluster id -1 is negative"),
+    ("# clusters 2\n0 zero\n", 2, "cluster id 'zero' is not an integer"),
+    ("0 0\n1 1\n0 1\n", 3, "node '0' is listed twice"),
+])
+def test_partition_read_rejects_bad_lines(tmp_path, text, lineno, message):
+    g = SignedGraph.from_edges(2, [(0, 1, 0)])
+    p = tmp_path / "part.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_partition(p, g)
+    assert str(err.value) == f"{p}:{lineno}: {message}"
+
+
 def test_partition_k_from_argument_overrides(tmp_path):
     g = SignedGraph.from_edges(2, [(0, 1, 0)])
     p = tmp_path / "part.txt"

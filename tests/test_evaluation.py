@@ -64,11 +64,17 @@ def test_fold_sizes_pigeonhole_large():
 
 def test_stratified_folds_balance_labels():
     g, _ = generate_planted(40, 3, 0.2, 0.4, seed=2)
-    plan = make_folds(g, 4, seed=1, stratified=True)
-    _, _, lbl = g.edge_arrays
-    for l in range(2):
-        per_fold = np.bincount(plan.fold_of_edge[lbl == l], minlength=4)
-        assert per_fold.max() - per_fold.min() <= 1
+    # 13 edges of each label into 10 folds: dealing each class from fold 0
+    # would give sizes [4 4 4 2 2 2 2 2 2 2].
+    chain = SignedGraph.from_edges(27, [(v, v + 1, v % 2) for v in range(26)])
+    for graph, k in ((g, 4), (chain, 10)):
+        plan = make_folds(graph, k, seed=1, stratified=True)
+        _, _, lbl = graph.edge_arrays
+        for l in range(2):
+            per_fold = np.bincount(plan.fold_of_edge[lbl == l], minlength=k)
+            assert per_fold.max() - per_fold.min() <= 1
+        sizes = np.bincount(plan.fold_of_edge, minlength=k)
+        assert sizes.max() - sizes.min() <= 1
 
 
 def test_folds_validate_inputs():

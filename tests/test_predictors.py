@@ -16,6 +16,7 @@ from linklabel import (
     decide,
     generate_planted,
     predict,
+    predict_many,
 )
 
 from conftest import G1_EDGES, I, J, graph_from, random_graph
@@ -176,6 +177,19 @@ def test_gtlgm_empty_context_undefined(g1):
     _, cc, part = _g1_setup(g1, K=1)
     assert not predict("gtlgm", g1, PredictionQuery(J, I), cluster_counts=cc,
                        partition=part).defined
+
+
+def test_mismatched_partition_rejected(g1):
+    # Another partition over the same nodes would index the table with the
+    # wrong clusters and give a plausible answer; both entry points refuse it.
+    counts, cc, part = _g1_setup(g1, K=2)
+    other = Partition.from_assignment(g1, 1 - part.assignment, K=2)
+    for kind in ("gtlgm", "stlgm", "ltlgm"):
+        with pytest.raises(ValueError, match="^partition must be the one"):
+            predict(kind, g1, Q, counts=counts, cluster_counts=cc, partition=other)
+        with pytest.raises(ValueError, match="^partition must be the one"):
+            predict_many(kind, g1, [I], [J], cluster_counts=cc, partition=other)
+    assert predict("gtlgm", g1, Q, cluster_counts=cc, partition=part).defined
 
 
 def test_gcgm_planted_argmax_is_table_label():

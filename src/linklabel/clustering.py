@@ -408,10 +408,16 @@ def read_partition(path, graph: SignedGraph, K: Optional[int] = None) -> Partiti
     """Read a partition written by ``write_partition`` and bind it to ``graph``.
 
     Every node of the graph must be listed exactly once, with a cluster id
-    >= 0; K is taken from the file header when present, else from the
-    maximum id seen (or the explicit argument). A bad line raises
+    >= 0 and below K; K is the explicit argument when given, else the file
+    header's, else the maximum id seen plus one. A bad line raises
     ``ValueError("path:lineno: ...")``.
     """
+    def as_int(token, what):
+        try:
+            return int(token)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {what} {token!r} is not an integer") from None
+
     assignment = np.full(graph.node_count, -1, dtype=np.int64)
     file_k = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -422,7 +428,7 @@ def read_partition(path, graph: SignedGraph, K: Optional[int] = None) -> Partiti
             if line.startswith("#"):
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] == "clusters":
-                    file_k = int(parts[1])
+                    file_k = as_int(parts[1], "cluster count")
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -430,12 +436,12 @@ def read_partition(path, graph: SignedGraph, K: Optional[int] = None) -> Partiti
             node, cl = parts
             if not graph.has_node(node):
                 raise ValueError(f"{path}:{lineno}: node {node!r} is not in the graph")
-            try:
-                cl = int(cl)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: cluster id {cl!r} is not an integer") from None
+            cl = as_int(cl, "cluster id")
             if cl < 0:
                 raise ValueError(f"{path}:{lineno}: cluster id {cl} is negative")
+            limit = K if K is not None else file_k
+            if limit is not None and cl >= limit:
+                raise ValueError(f"{path}:{lineno}: cluster id {cl} is not below K = {limit}")
             v = graph.node_of(node)
             if assignment[v] >= 0:
                 raise ValueError(f"{path}:{lineno}: node {node!r} is listed twice")

@@ -50,7 +50,7 @@ is R.T @ R over its nodes' rows, and a stream batch adds N.T @ N - O.T @ O
 over its changed tails' rows in the new and the old graph. Queries read
 it by fancy indexing (``cluster_evidence``). At K = 30, L = 2 it has
 243k cells (1.9 MB), built in ~0.01–0.02 s on the serve-stream graph. Every
-batch also builds a new ``SignedGraph`` (O(edges) in numpy).
+batch splices its edges into a new ``SignedGraph`` (``splice_edges``).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import SignedGraph, normalize_edge_arrays
+from .graph import SignedGraph, _ranges
 
 #: Label selector meaning "any label" (set union over labels).
 ANY = -1
@@ -82,13 +82,6 @@ class BudgetExceededError(RuntimeError):
             f"precomputed count table needs {projected_cost} ordered edge pairs, "
             f"budget is {budget}; raise it (--nam-budget) or force the build "
             f"(override=True, or --nam-override)")
-
-
-def _ranges(lo, hi):
-    """Concatenated index ranges ``lo[k]:hi[k]``: (indices, k of each index)."""
-    lens = hi - lo
-    owner = np.arange(lens.size).repeat(lens)
-    return np.arange(owner.size) + (lo - (lens.cumsum() - lens))[owner], owner
 
 
 def _sum_by_code(codes, vals):
@@ -137,7 +130,8 @@ class NodeCountStore:
     a code: the main run, and a small pending run that takes the keys a
     stream batch adds. A read searches both. An update changes present keys
     in place, zeros included; zeros are dropped only when the pending run
-    outgrows ``MERGE_FRACTION`` of the main run and the two are merged.
+    outgrows ``MERGE_FRACTION`` of the main run and the two are merged
+    (``_merge_runs``, which ``nonzero`` reads through too).
     """
 
     def __init__(self, node_count: int, L: int, codes: np.ndarray, vals: np.ndarray):
@@ -185,17 +179,15 @@ class NodeCountStore:
         self.pending_codes = np.insert(self.pending_codes, at, codes[~hit])
         self.pending_vals = np.insert(self.pending_vals, at, deltas[~hit])
         if self.pending_codes.size > self.codes.size * MERGE_FRACTION:
-            self.codes, self.vals = self.nonzero()
+            runs = [self.codes, self.vals, self.pending_codes, self.pending_vals]
+            self.codes = self.vals = self.pending_codes = self.pending_vals = None
+            self.codes, self.vals = _merge_runs(runs)   # frees each old run once copied
             self.pending_codes = self.pending_vals = np.empty(0, dtype=np.int64)
             self.merges += 1
 
     def nonzero(self):
         """(codes, counts) of the nonzero entries of both runs, sorted."""
-        at = np.searchsorted(self.codes, self.pending_codes)
-        codes = np.insert(self.codes, at, self.pending_codes)
-        vals = np.insert(self.vals, at, self.pending_vals)
-        keep = vals != 0
-        return codes[keep], vals[keep]
+        return _merge_runs([self.codes, self.vals, self.pending_codes, self.pending_vals])
 
     def renumber(self, node_count: int) -> None:
         """Re-encode every code for ``node_count`` nodes (at least N); order is kept."""
@@ -205,6 +197,24 @@ class NodeCountStore:
                 q, r = np.divmod(getattr(self, name), old)
                 setattr(self, name, q * new + r)
             self.N = int(node_count)
+
+
+def _merge_runs(runs):
+    """The nonzero entries of the sorted runs ``[codes, counts, pending codes, pending counts]``.
+
+    Each output array is written once, at its final size, and each input
+    leaves ``runs`` once copied, so one held nowhere else is freed then.
+    """
+    at, keep = np.searchsorted(runs[0], runs[2]), [runs[1] != 0, runs[3] != 0]
+    kept = np.insert(keep[0], at, keep[1])          # nonzero flags, in merged order
+    from_pending = np.insert(np.zeros(runs[0].size, dtype=bool), at, True)[kept]
+    out = []
+    for i in (0, 1):
+        out.append(np.empty(from_pending.size, dtype=np.int64))
+        out[i][~from_pending] = runs[i][keep[0]]
+        out[i][from_pending] = runs[i + 2][keep[1]]
+        runs[i] = runs[i + 2] = None
+    return tuple(out)
 
 
 def _pair_codes(graph: SignedGraph, tails, N: int) -> np.ndarray:
@@ -686,26 +696,27 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     triples and pass the loader's normalization: self-loops are dropped,
     within-batch duplicates collapse last-wins, and a pair that already
     exists in the graph has its old label retracted from the counts before
-    the new one is added. The merged graph is ``normalize_edge_arrays`` of
-    the old edges followed by the batch, so the batch label wins. After the
-    call every count equals what a from-scratch build on the extended graph
-    would produce; existing cluster assignments are untouched and brand-new
+    the new one is added. The merged graph is the old one with the batch
+    spliced in (``SignedGraph.splice_edges``), so the batch label wins.
+    After the call every count equals what a from-scratch build on the
+    extended graph would produce; existing cluster assignments are untouched and brand-new
     nodes are placed on the cluster whose objective delta is smallest
     (largest cluster when edge-free).
 
-    The cost is O(edges) in numpy for the merged graph. The node store's
-    delta is, in one vectorized pass, the ordered out-edge pairs through a
-    gained edge (in the new graph) minus those through a lost one (in the
-    old graph): O(out-degree) per changed edge, so a hub tail costs no
-    more than its degree. It changes present keys in place and adds new
-    keys to the store's pending run, which is merged into the main run now
-    and then (``NodeCountStore``).
+    The merged graph costs O(edges) in array copies, with no sort. The
+    node store's delta is, in one vectorized pass, the ordered out-edge
+    pairs through a gained edge (in the new graph) minus those through a
+    lost one (in the old graph): O(out-degree) per changed edge, so a hub
+    tail costs no more than its degree. It changes present keys in place
+    and adds new keys to the store's pending run, which is merged into the
+    main run now and then (``NodeCountStore``).
     The cluster table adds, per cluster of the changed tails, one ``int64``
     product over their incidence rows in both graphs: O(out-degree +
     K^2 (L + 1)^2) per changed tail. Every node-store delta is computed
     before the first write. On the 2,000-node serve-stream graph a 20-edge
-    batch takes ~9 ms on a 2-vCPU Xeon: ~4.5 ms for the new graph, ~1 ms for
-    the node store, ~0.6 ms for the cluster table.
+    batch takes ~2.4–2.8 ms on a 2-vCPU Xeon (~8.5 ms when the new graph was
+    rebuilt with a ``lexsort``): ~0.6 ms for the spliced graph, ~1 ms for
+    the node store, merges included.
 
     The caller must hold exclusive access: ``counts``, ``cluster_counts``
     and its partition are mutated in place and rebound to the returned
@@ -764,28 +775,17 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     def dense(tok):
         return pending[tok] if tok in pending else graph.node_of(tok)
 
-    # Phase 1: each effective pair's old label (-1 if absent), found in the
-    # old graph's sorted keys, and the merged graph by the loader's rule.
-    src, dst, lbl = graph.edge_arrays
+    # Phase 1: the merged graph, spliced from the old one, and each
+    # effective pair's old label (-1 if absent).
     b_src, b_dst, b_lbl = np.array([(dense(s), dense(d), label) for (s, d), label
                                     in effective.items()], dtype=np.int64).reshape(-1, 3).T
-    keys, b_keys = src * n_new + dst, b_src * n_new + b_dst
-    pos = np.searchsorted(keys, b_keys)
-    hit = pos < keys.size
-    hit[hit] = keys[pos[hit]] == b_keys[hit]
-    b_old = np.full(b_keys.size, -1, dtype=np.int64)
-    b_old[hit] = lbl[pos[hit]]
+    new_graph, b_old = graph.splice_edges(b_src, b_dst, b_lbl, report.new_node_ids)
     changed = b_old != b_lbl
-    relabel = changed & hit
+    relabel = changed & (b_old >= 0)
     changes = list(zip(*(a[changed].tolist() for a in (b_src, b_dst, b_old, b_lbl))))
-    report.unchanged = int(b_keys.size - changed.sum())
+    report.unchanged = int(b_old.size - changed.sum())
     report.relabeled = int(relabel.sum())
     report.added = len(changes) - report.relabeled
-
-    src, dst, lbl, _, _ = normalize_edge_arrays(np.concatenate((src, b_src)),
-                                                np.concatenate((dst, b_dst)),
-                                                np.concatenate((lbl, b_lbl)), n_new)
-    new_graph = graph.replace_edges(src, dst, lbl, report.new_node_ids)
 
     # Before any write: the node store's delta (the ordered out-edge pairs
     # through a gained edge, minus those through a lost one), and the pair

@@ -114,9 +114,11 @@ class SignedGraph:
     never mutated after construction: counts and predictions read the CSR
     arrays and cache nothing on the graph (only the external-id dict is
     built lazily, on the first id lookup).
+    The in-index is one ``lexsort`` over all edges, unless ``in_index``
+    gives it prebuilt as ``(in_ptr, in_tails)``, as ``splice_edges`` does.
     """
 
-    def __init__(self, node_count, src, dst, lbl, alphabet, external_ids):
+    def __init__(self, node_count, src, dst, lbl, alphabet, external_ids, in_index=None):
         # Inputs must already be normalized: unique ordered pairs, no
         # self-loops, sorted by (src, dst).
         self.node_count = int(node_count)
@@ -134,6 +136,9 @@ class SignedGraph:
         self._out_ptr = np.searchsorted(self._src, np.arange(n + 1))
 
         # In-adjacency split by label, sorted by (dst, label, src).
+        if in_index is not None:
+            self._inl_ptr, self._inl_src = in_index
+            return
         order = np.lexsort((self._src, self._lbl, self._dst))
         self._inl_src = self._src[order]
         key = self._dst[order] * L + self._lbl[order]
@@ -162,21 +167,60 @@ class SignedGraph:
             external_ids = [f"{i:0{width}d}" for i in range(node_count)]
         return cls(node_count, src, dst, lbl, alphabet, external_ids)
 
-    def replace_edges(self, src, dst, lbl, new_ids=()) -> "SignedGraph":
-        """New graph with a different edge set, over the same nodes plus ``new_ids``.
+    def replace_edges(self, src, dst, lbl) -> "SignedGraph":
+        """New graph with a different edge set over the same nodes and id list.
 
         The arrays must already be normalized and sorted by ``(src, dst)``;
-        used by sparsification, fold splitting and streaming, which never
-        renumber nodes. Nodes ``new_ids`` (external ids not in the graph)
-        are appended. With none, the new graph shares this graph's id list
-        and dict; otherwise it extends copies of them.
+        used by sparsification and fold splitting.
         """
+        return self._successor((), src, dst, lbl)
+
+    def splice_edges(self, b_src, b_dst, b_lbl, new_ids=()):
+        """(new graph, old labels): this graph with the batch's edges written over it.
+
+        The batch holds distinct pairs, no self-loops, over this graph's
+        nodes plus ``new_ids``, external ids appended in that order; ``old``
+        is each pair's label before, or -1.
+        Copies of both sorted edge orders are spliced, not re-sorted: added
+        pairs are inserted, a relabel overwrites the out-edge label and
+        moves the in-index entry to its new label slice.
+        """
+        n, L, grow = self.node_count + len(new_ids), self.alphabet.size, len(new_ids)
+        out_ptr = np.concatenate((self._out_ptr, np.full(grow, self.edge_count)))
+        in_ptr = np.concatenate((self._inl_ptr, np.full(grow * L, self.edge_count)))
+        pos = _search_rows(out_ptr, b_src, b_dst, self._dst)
+        hit = pos < out_ptr[b_src + 1]
+        hit[hit] = self._dst[pos[hit]] == b_dst[hit]
+        old = np.full(b_src.size, -1, dtype=np.int64)
+        old[hit] = self._lbl[pos[hit]]
+        lbl = self._lbl.copy()
+        lbl[pos[hit]] = b_lbl[hit]
+        add = np.flatnonzero(~hit)[np.argsort(b_src[~hit] * n + b_dst[~hit])]
+        src, dst, lbl = (np.insert(a, pos[add], b[add]) for a, b in
+                         ((self._src, b_src), (self._dst, b_dst), (lbl, b_lbl)))
+        # In-index rows are label slots dst * L + label: a relabel leaves its
+        # old slot, and it and an added pair enter the slot of their label.
+        leave = hit & (old != b_lbl)
+        out_slots = b_dst[leave] * L + old[leave]
+        gone = np.sort(_search_rows(in_ptr, out_slots, b_src[leave], self._inl_src))
+        enter = leave | ~hit
+        in_slots = b_dst[enter] * L + b_lbl[enter]
+        order = np.argsort(in_slots * n + b_src[enter])
+        at = _search_rows(in_ptr, in_slots[order], b_src[enter][order], self._inl_src)
+        tails = np.insert(np.delete(self._inl_src, gone), at - np.searchsorted(gone, at),
+                          b_src[enter][order])
+        in_ptr[1:] += (np.bincount(in_slots, minlength=n * L)
+                       - np.bincount(out_slots, minlength=n * L)).cumsum()
+        return self._successor(new_ids, src, dst, lbl, (in_ptr, tails)), old
+
+    def _successor(self, new_ids, src, dst, lbl, in_index=None) -> "SignedGraph":
+        """A graph over these nodes plus ``new_ids``; with none it shares the id list and dict."""
         ids, index = self.external_ids, self._ext_to_id
         if new_ids:
             ids = ids + list(new_ids)
             index = dict(index)
             index.update(zip(new_ids, range(self.node_count, len(ids))))
-        g = SignedGraph(len(ids), src, dst, lbl, self.alphabet, ids)
+        g = SignedGraph(len(ids), src, dst, lbl, self.alphabet, ids, in_index)
         g.external_ids, g._ext_to_id = ids, index
         return g
 
@@ -270,6 +314,20 @@ class SignedGraph:
             raise AssertionError("in/out adjacency describe different edge sets")
         if self.edge_count != len(direct):
             raise AssertionError("edge_count out of sync")
+
+
+def _ranges(lo, hi):
+    """Concatenated index ranges ``lo[k]:hi[k]``: (indices, k of each index)."""
+    lens = hi - lo
+    owner = np.arange(lens.size).repeat(lens)
+    return np.arange(owner.size) + (lo - (lens.cumsum() - lens))[owner], owner
+
+
+def _search_rows(ptr, rows, values, run):
+    """Index into ``run`` of each ``values[k]`` by a left ``searchsorted`` in its
+    sorted row ``run[ptr[r]:ptr[r + 1]]``, ``r = rows[k]``: O(row lengths), not O(run)."""
+    idx, owner = _ranges(ptr[rows], ptr[rows + 1])
+    return ptr[rows] + np.bincount(owner[run[idx] < values[owner]], minlength=rows.size)
 
 
 def normalize_edge_arrays(src, dst, lbl, node_count):

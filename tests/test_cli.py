@@ -215,6 +215,20 @@ def test_predict_partition_file_with_unknown_node(capsys, g1_file, tmp_path):
     assert capsys.readouterr().err == f"error: {part}:2: node 'nobody' is not in the graph\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# clusters two\n", "1: cluster count 'two' is not an integer"),
+    ("# clusters 2\ni 0\nj 5\n", "3: cluster id 5 is not below K = 2"),
+])
+def test_predict_partition_file_bad_cluster_names_line(capsys, g1_file, tmp_path, text, message):
+    part = tmp_path / "part.txt"
+    part.write_text(text)
+    q = tmp_path / "q.txt"
+    q.write_text("i j\n")
+    assert main(["predict", "--input", str(g1_file), "--queries", str(q),
+                 "--model", "gtlgm", "--partition-file", str(part)]) == 1
+    assert capsys.readouterr().err == f"error: {part}:{message}\n"
+
+
 # -- evaluate --------------------------------------------------------------------------
 
 def test_evaluate_records(capsys, planted_file):

@@ -262,6 +262,8 @@ def test_partition_read_requires_full_coverage(tmp_path):
     ("0 0\n1 -1\n", 2, "cluster id -1 is negative"),
     ("# clusters 2\n0 zero\n", 2, "cluster id 'zero' is not an integer"),
     ("0 0\n1 1\n0 1\n", 3, "node '0' is listed twice"),
+    ("# clusters two\n0 0\n1 1\n", 1, "cluster count 'two' is not an integer"),
+    ("# clusters 2\n0 0\n1 5\n", 3, "cluster id 5 is not below K = 2"),
 ])
 def test_partition_read_rejects_bad_lines(tmp_path, text, lineno, message):
     g = SignedGraph.from_edges(2, [(0, 1, 0)])
@@ -278,6 +280,16 @@ def test_partition_k_from_argument_overrides(tmp_path):
     p.write_text("0 0\n1 0\n")
     assert read_partition(p, g).K == 1
     assert read_partition(p, g, K=4).K == 4
+
+
+def test_partition_id_above_k_argument_names_line(tmp_path):
+    g = SignedGraph.from_edges(2, [(0, 1, 0)])
+    p = tmp_path / "part.txt"
+    p.write_text("# clusters 4\n0 0\n1 3\n")
+    assert read_partition(p, g).K == 4
+    with pytest.raises(ValueError) as err:
+        read_partition(p, g, K=2)
+    assert str(err.value) == f"{p}:3: cluster id 3 is not below K = 2"
 
 
 def test_partition_rejects_unassigned_export(tmp_path):

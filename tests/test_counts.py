@@ -22,7 +22,7 @@ from linklabel import (
     save_nam_snapshot,
 )
 
-from conftest import G1_EDGES, J, X, graph_from, random_graph
+from conftest import G1_EDGES, J, X, graph_from, random_batch, random_edge_list, random_graph
 import oracles
 
 
@@ -423,6 +423,41 @@ def test_batch_edge_cases_match_rebuild(case):
         assert np.array_equal(new_g.edge_arrays, g.edge_arrays)
     else:
         assert new_g.edge_count == g.edge_count + report.added
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_spliced_graph_equals_a_fresh_build_after_every_batch(L):
+    # Each batch splices into the old graph's sorted arrays; the result must
+    # be the graph a from-scratch build gives, and the old graph must stay
+    # as it was.
+    rng = np.random.default_rng(70 + L)
+    n = 24
+    g = graph_from(random_edge_list(rng, n, L, edge_prob=0.12), n, L)
+    part = Partition.from_random(g, 3, rng)
+    counts, cc = CooccurrenceCounts.on_demand(g), ClusterCounts.from_partition(g, part)
+    merged = {(g.external_of(s), g.external_of(d)): l for s, d, l in g.edges()}
+    fresh, totals, new_ends = [0], np.zeros(5, dtype=np.int64), set()
+    for step in range(45):
+        batch = [] if step == 20 else random_batch(rng, g, L, fresh)
+        digest, arrays = g.content_digest(), [a.copy() for a in g.csr()]
+        new_g, report = apply_edge_batch(counts, cc, g, batch)
+        assert g.content_digest() == digest
+        assert all(np.array_equal(a, b) for a, b in zip(g.csr(), arrays))
+        for s, d, l in batch:
+            if s != d:
+                merged[(s, d)] = l
+                new_ends.update(k for k, tok in enumerate((s, d)) if not g.has_node(tok))
+        edges = [(new_g.node_of(s), new_g.node_of(d), l) for (s, d), l in merged.items()]
+        scratch = SignedGraph.from_edges(new_g.node_count, edges, new_g.alphabet,
+                                         new_g.external_ids)
+        for a, b in zip(new_g.edge_arrays + new_g.csr(), scratch.edge_arrays + scratch.csr()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        new_g.validate()
+        totals += (report.added, report.relabeled, report.unchanged,
+                   report.self_loops_dropped, report.collapsed_in_batch)
+        g = new_g
+    assert (totals > 0).all() and new_ends == {0, 1}
+    assert cc.table == ClusterCounts.from_partition(g, part).table
 
 
 def test_batch_with_on_demand_counts_rebinds(g1):

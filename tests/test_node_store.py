@@ -17,6 +17,9 @@ from linklabel import (ANY, MODEL_KINDS, ClusterCounts, CooccurrenceCounts, Part
                        PredictionQuery, SmoothingConfig, apply_edge_batch,
                        build_precomputed_nam, generate_planted, predict)
 
+from linklabel import counts as counts_module
+from linklabel.counts import NodeCountStore
+
 from conftest import graph_from, random_batch, random_edge_list
 import oracles
 
@@ -79,6 +82,44 @@ def test_stream_matches_dict_oracle_after_every_batch(L):
     assert fresh[0] >= 3
     assert counts.store.merges >= 1 and pending_reads >= 1
     assert counts.table == build_precomputed_nam(g).table
+
+
+def test_forced_merges_equal_the_dict_build(monkeypatch):
+    # With MERGE_FRACTION 0 every batch that adds a key merges the runs: the
+    # main run must then hold exactly the dict build's concrete entries.
+    monkeypatch.setattr(counts_module, "MERGE_FRACTION", 0.0)
+    rng = np.random.default_rng(7)
+    n, L = 22, 2
+    g = graph_from(random_edge_list(rng, n, L, edge_prob=0.15), n, L)
+    part = Partition.from_random(g, 3, rng)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    store, fresh = counts.store, [0]
+    for _ in range(30):
+        merges = store.merges
+        g, _ = apply_edge_batch(counts, cc, g, random_batch(rng, g, L, fresh))
+        want = sorted((k, v) for k, v in _oracle(g).items() if ANY not in (k[1], k[3]))
+        codes = store.encode(*np.array([k for k, _ in want], dtype=np.int64).reshape(-1, 4).T)
+        vals = np.array([v for _, v in want], dtype=np.int64)
+        for c, v in (store.nonzero(), (store.codes[store.vals != 0], store.vals[store.vals != 0])):
+            assert np.array_equal(c, codes) and np.array_equal(v, vals)
+        assert store.pending_codes.size == 0
+        if store.merges > merges:
+            assert np.array_equal(store.codes, codes) and np.array_equal(store.vals, vals)
+    assert store.merges >= 10
+
+
+def test_merge_drops_zeros_of_both_runs(monkeypatch):
+    # Zeros stay in place until a merge, which drops those of both runs.
+    monkeypatch.setattr(counts_module, "MERGE_FRACTION", 1.0)
+    store = NodeCountStore(4, 2, np.array([1, 3, 5, 7]), np.array([2, 0, 1, 4]))
+    store.add(np.array([2, 6]), np.array([3, 0]))          # pending run [2, 6]
+    assert store.merges == 0 and store.pending_codes.tolist() == [2, 6]
+    assert [a.tolist() for a in store.nonzero()] == [[1, 2, 5, 7], [2, 3, 1, 4]]
+    assert store.codes.tolist() == [1, 3, 5, 7]              # a read changes nothing
+    monkeypatch.setattr(counts_module, "MERGE_FRACTION", 0.0)
+    store.add(np.array([0, 5]), np.array([6, -1]))
+    assert store.merges == 1 and store.pending_codes.size == 0
+    assert store.codes.tolist() == [0, 1, 2, 7] and store.vals.tolist() == [6, 2, 3, 4]
 
 
 @pytest.mark.parametrize("build", [build_precomputed_nam, CooccurrenceCounts.on_demand],

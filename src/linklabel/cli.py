@@ -39,7 +39,7 @@ from .counts import (BudgetExceededError, ClusterCounts, CooccurrenceCounts,
                      save_cam_snapshot, save_nam_snapshot)
 from .evaluation import config_echo, evaluate, make_folds, param_sample_cdf, sparsity_sweep
 from .graph import (EdgeListParseError, LoadOptions, PredictionQuery,
-                    graph_stats, load_edge_list, write_edge_list)
+                    graph_stats, load_edge_list, read_edge_lines, write_edge_list)
 from .predictors import (CLUSTER_KINDS, LOCAL_KINDS, MODEL_KINDS,
                          SmoothingConfig, class_prior, decide, predict)
 
@@ -280,22 +280,7 @@ def _cmd_update(args):
     partition = _partition_for(args, graph)
     cluster_counts = ClusterCounts.from_partition(graph, partition)
 
-    options = LoadOptions()
-    tokens = options.resolved_tokens()
-    batch = []
-    with open(args.batch, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise EdgeListParseError(f"{args.batch}:{lineno}: expected 'src dst sign'")
-            s, d, sign = parts
-            if sign not in tokens:
-                raise EdgeListParseError(f"{args.batch}:{lineno}: unknown sign token {sign!r}")
-            batch.append((s, d, tokens[sign]))
-
+    batch = list(zip(*read_edge_lines(args.batch, LoadOptions().resolved_tokens())))
     new_graph, breport = apply_edge_batch(counts, cluster_counts, graph, batch,
                                           auto_intern=not args.no_intern)
     inputs = {"input": args.input, "batch": args.batch}

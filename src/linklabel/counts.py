@@ -50,7 +50,9 @@ is R.T @ R over its nodes' rows, and a stream batch adds N.T @ N - O.T @ O
 over its changed tails' rows in the new and the old graph. Queries read
 it by fancy indexing (``cluster_evidence``). At K = 30, L = 2 it has
 243k cells (1.9 MB), built in ~0.01–0.02 s on the serve-stream graph. Every
-batch splices its edges into a new ``SignedGraph`` (``splice_edges``).
+batch is read in one pass and spliced into a new ``SignedGraph``
+(``splice_edges``); the partition's own all-or-nothing retract of the
+relabels' old labels is the check that it matches the graph.
 """
 
 from __future__ import annotations
@@ -430,12 +432,12 @@ def receiver_blocks(graph: SignedGraph, receivers) -> list:
     """
     out_ptr, _, _, in_ptr, in_tails = graph.csr()
     n, L = graph.node_count, graph.alphabet.size
-    reach = np.concatenate(([0], np.cumsum(np.diff(out_ptr)[in_tails])))
-    pairs = (reach[in_ptr[1:]] - reach[in_ptr[:-1]]).reshape(n, L).sum(axis=1)
+    receivers = np.unique(np.asarray(receivers, dtype=np.int64))
+    t, k = _ranges(in_ptr[receivers * L], in_ptr[(receivers + 1) * L])
+    pairs = np.bincount(k, np.diff(out_ptr)[in_tails[t]], receivers.size).astype(np.int64)
     per_block = max(1, BLOCK_CELLS // max(1, n * L * L))
     blocks, cur, cur_pairs = [], [], 0
-    for r in np.unique(receivers).tolist():
-        p = int(pairs[r])
+    for r, p in zip(receivers.tolist(), pairs.tolist()):
         if cur and (cur_pairs + p > BLOCK_PAIRS or len(cur) == per_block):
             blocks.append(np.array(cur, dtype=np.int64))
             cur, cur_pairs = [], 0
@@ -646,31 +648,31 @@ NAM_SNAPSHOT_HEADER = "nam-snapshot v1"
 CAM_SNAPSHOT_HEADER = "cam-snapshot v1"
 
 
-def save_nam_snapshot(counts: CooccurrenceCounts, path) -> None:
-    """Write a precomputed node-level table as versioned text, sorted keys.
+def _write_snapshot(path, header: str, sizes: str, table) -> None:
+    """Write ``table`` as versioned text: header, size line, then one
+    ``<key fields> <count>`` line per key, sorted. Plain integers only, so
+    files are identical across platforms. The file is an export: nothing
+    reads it back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header}\n{sizes}\n")
+        for key, c in sorted(table.items()):
+            fh.write(f"{' '.join(map(str, key))} {c}\n")
 
-    Plain integers only, so files are identical across platforms. The file
-    is an export: nothing reads it back.
-    """
+
+def save_nam_snapshot(counts: CooccurrenceCounts, path) -> None:
+    """Write a precomputed node-level table as a snapshot (``_write_snapshot``)."""
     if counts.store is None:
         raise ValueError("only precomputed count tables can be snapshotted")
     g = counts.graph
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{NAM_SNAPSHOT_HEADER}\n")
-        fh.write(f"nodes {g.node_count} labels {g.alphabet.size}\n")
-        for (m, l, n, lp), c in sorted(counts.table.items()):
-            fh.write(f"{m} {l} {n} {lp} {c}\n")
+    _write_snapshot(path, NAM_SNAPSHOT_HEADER,
+                    f"nodes {g.node_count} labels {g.alphabet.size}", counts.table)
 
 
 def save_cam_snapshot(cluster_counts: ClusterCounts, path) -> None:
-    """Write a cluster-level table as versioned text, sorted keys (an export)."""
-    part = cluster_counts.partition
-    g = cluster_counts.graph
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{CAM_SNAPSHOT_HEADER}\n")
-        fh.write(f"clusters {part.K} labels {g.alphabet.size}\n")
-        for (s, m, l, n, lp), c in sorted(cluster_counts.table.items()):
-            fh.write(f"{s} {m} {l} {n} {lp} {c}\n")
+    """Write a cluster-level table as a snapshot (``_write_snapshot``)."""
+    _write_snapshot(path, CAM_SNAPSHOT_HEADER,
+                    f"clusters {cluster_counts.partition.K} labels "
+                    f"{cluster_counts.graph.alphabet.size}", cluster_counts.table)
 
 
 # -- streaming updates ---------------------------------------------------------
@@ -712,17 +714,23 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     main run now and then (``NodeCountStore``).
     The cluster table adds, per cluster of the changed tails, one ``int64``
     product over their incidence rows in both graphs: O(out-degree +
-    K^2 (L + 1)^2) per changed tail. Every node-store delta is computed
-    before the first write. On the 2,000-node serve-stream graph a 20-edge
+    K^2 (L + 1)^2) per changed tail. On the 2,000-node serve-stream graph a 20-edge
     batch takes ~2.4–2.8 ms on a 2-vCPU Xeon (~8.5 ms when the new graph was
     rebuilt with a ``lexsort``): ~0.6 ms for the spliced graph, ~1 ms for
     the node store, merges included.
 
+    Phases: 0, one pass normalizes the batch and interns its ids; 1, the
+    spliced graph and each pair's old label; 2, the node store's delta;
+    3a, the first write: the partition retracts the relabels' old labels
+    in one all-or-nothing call (the check that it matches the graph), then
+    adds the new labels; 3b, new nodes are placed; 4, the node store and
+    the cluster table take their deltas.
+
     The caller must hold exclusive access: ``counts``, ``cluster_counts``
     and its partition are mutated in place and rebound to the returned
     graph. All three must be bound to ``graph``, and the partition must hold
-    the pair count of every edge the batch relabels; otherwise the call
-    raises ValueError before anything is changed.
+    the pair count of every edge the batch relabels (phase 3a); otherwise
+    the call raises ValueError before anything is changed.
 
     Args:
         counts: node-level counts; a store is updated in place, and
@@ -742,12 +750,21 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     if not (counts.graph is graph and cluster_counts.graph is graph
             and partition.graph is graph):
         raise ValueError("counts, cluster counts and partition must be bound to graph")
-    alphabet = graph.alphabet
-    L = alphabet.size
+    L = graph.alphabet.size
     report = BatchReport()
 
-    # Phase 0: normalize the batch (drop self-loops, last label per pair wins).
-    effective: dict = {}
+    # Phase 0: normalize the batch (drop self-loops, last label per pair
+    # wins) and intern its ids: new nodes take dense ids in first-appearance
+    # order, and an id seen only in a self-loop is not interned.
+    n_old, fresh, effective = graph.node_count, {}, {}
+
+    def dense(tok):
+        if graph.has_node(tok):
+            return graph.node_of(tok)
+        if tok not in fresh and not auto_intern:
+            raise ValueError(f"unknown node id {tok!r} and auto_intern is disabled")
+        return fresh.setdefault(tok, n_old + len(fresh))
+
     for s_ext, d_ext, label in new_edges:
         label = int(label)
         if not (0 <= label < L):
@@ -755,41 +772,26 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
         if s_ext == d_ext:
             report.self_loops_dropped += 1
             continue
-        if (s_ext, d_ext) in effective:
-            report.collapsed_in_batch += 1
-        effective[(s_ext, d_ext)] = label
-
-    # Intern external ids; new nodes take dense ids in first-appearance order.
-    n_old = graph.node_count
-    pending: dict = {}
-    for s_ext, d_ext in effective:
-        for tok in (s_ext, d_ext):
-            if not graph.has_node(tok) and tok not in pending:
-                if not auto_intern:
-                    raise ValueError(f"unknown node id {tok!r} and auto_intern is disabled")
-                pending[tok] = n_old + len(pending)
-                report.new_node_ids.append(tok)
-    report.new_nodes = len(pending)
-    n_new = n_old + len(pending)
-
-    def dense(tok):
-        return pending[tok] if tok in pending else graph.node_of(tok)
+        pair = dense(s_ext), dense(d_ext)
+        report.collapsed_in_batch += pair in effective
+        effective[pair] = label
+    report.new_node_ids = list(fresh)
+    report.new_nodes = len(fresh)
+    n_new = n_old + len(fresh)
 
     # Phase 1: the merged graph, spliced from the old one, and each
     # effective pair's old label (-1 if absent).
-    b_src, b_dst, b_lbl = np.array([(dense(s), dense(d), label) for (s, d), label
-                                    in effective.items()], dtype=np.int64).reshape(-1, 3).T
+    b_src, b_dst, b_lbl = np.array([(s, d, label) for (s, d), label in effective.items()],
+                                   dtype=np.int64).reshape(-1, 3).T
     new_graph, b_old = graph.splice_edges(b_src, b_dst, b_lbl, report.new_node_ids)
     changed = b_old != b_lbl
     relabel = changed & (b_old >= 0)
-    changes = list(zip(*(a[changed].tolist() for a in (b_src, b_dst, b_old, b_lbl))))
     report.unchanged = int(b_old.size - changed.sum())
     report.relabeled = int(relabel.sum())
-    report.added = len(changes) - report.relabeled
+    report.added = int(changed.sum()) - report.relabeled
 
-    # Before any write: the node store's delta (the ordered out-edge pairs
-    # through a gained edge, minus those through a lost one), and the pair
-    # counts phase 3a retracts must all exist.
+    # Phase 2, before any write: the node store's delta, the ordered
+    # out-edge pairs through a gained edge minus those through a lost one.
     tails = np.unique(b_src[changed])
     if counts.store is not None:
         gained, g_sign = _pairs_through(new_graph, b_src[changed], b_dst[changed],
@@ -799,45 +801,34 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
         nam_codes, nam_delta = _sum_by_code(np.concatenate((gained, lost)),
                                             np.concatenate((g_sign, -l_sign)))
         moved = nam_delta != 0
-    K, asg = partition.K, partition.assignment
-    retracted = (asg[b_src[relabel]] * K + asg[b_dst[relabel]]) * L + b_old[relabel]
-    short = np.bincount(retracted, minlength=K * K * L) > partition.pair_counts.reshape(-1)
-    if short.any():
-        c, d, l = np.unravel_index(int(np.argmax(short)), (K, K, L))
-        raise ValueError(f"pair count for {(int(c), int(d))} label {int(l)} would go "
-                         f"negative: the partition does not match the graph")
 
-    # Phase 3a: partition pair counts for changed edges between existing
-    # nodes, in one shift: the old label retracted, the new one added.
+    # Phase 3a, the first write: partition pair counts for changed edges
+    # between existing nodes. The relabels' old labels are retracted first,
+    # all or nothing, so a partition that lacks one of their pair counts
+    # raises here, before anything has changed; then the new labels are added.
+    K, asg = partition.K, partition.assignment
+    partition.add_edge_counts(asg[b_src[relabel]], asg[b_dst[relabel]], b_old[relabel],
+                              np.full(report.relabeled, -1))
     between = changed & (b_src < n_old) & (b_dst < n_old)
-    cu, cv = asg[b_src[between]], asg[b_dst[between]]
-    old, rel = b_old[between], relabel[between]
-    partition.add_edge_counts(np.concatenate((cu[rel], cu)), np.concatenate((cv[rel], cv)),
-                              np.concatenate((old[rel], b_lbl[between])),
-                              np.repeat([-1, 1], [int(rel.sum()), cu.size]))
+    partition.add_edge_counts(asg[b_src[between]], asg[b_dst[between]], b_lbl[between],
+                              np.ones(int(between.sum()), dtype=np.int64))
 
     # Phase 3b: place new nodes, in dense-id order, on the objective-greedy
-    # cluster; each incident edge is committed exactly once, when its later
-    # endpoint is assigned.
+    # cluster; each changed edge of a new node (an added pair) is committed
+    # exactly once, when its later endpoint is assigned.
     if report.new_nodes:
         partition.extend(report.new_nodes)
-        incident: dict = {w: [] for w in range(n_old, n_new)}
-        for u, v, _, label in changes:     # a new node's pairs are all added
-            if u >= n_old:
-                incident[u].append((u, v, label))
-            if v >= n_old:
-                incident[v].append((u, v, label))
         assignment = partition.assignment
+        cu, cv, cl = b_src[changed], b_dst[changed], b_lbl[changed]
         for w in range(n_old, n_new):
-            ready = [(u, v, label) for u, v, label in incident[w]
-                     if assignment[v if u == w else u] >= 0]
+            mine = ((cu == w) | (cv == w)) & (assignment[np.where(cu == w, cv, cu)] >= 0)
+            ready = list(zip(cu[mine].tolist(), cv[mine].tolist(), cl[mine].tolist()))
             best = (int(np.argmin(partition.placement_deltas(w, ready))) if ready
                     else partition.largest_cluster())
             partition.assign_new(w, best)
             if ready:                       # w's own cluster is now best
-                u, v, label = np.array(ready, dtype=np.int64).T
-                partition.add_edge_counts(assignment[u], assignment[v], label,
-                                          np.ones_like(label))
+                partition.add_edge_counts(assignment[cu[mine]], assignment[cv[mine]],
+                                          cl[mine], np.ones(len(ready), dtype=np.int64))
 
     # Phase 4: the node store takes its delta; per cluster s of the changed
     # tails, the cluster table adds N.T @ N - O.T @ O over their incidence

@@ -65,13 +65,6 @@ class LabelAlphabet:
 SIGNED = LabelAlphabet(("+", "-"))
 
 
-def _default_token_map(alphabet: LabelAlphabet) -> dict:
-    tokens = {name: i for i, name in enumerate(alphabet.names)}
-    if alphabet.names == SIGNED.names:
-        tokens.update({"1": 0, "+1": 0, "-1": 1})
-    return tokens
-
-
 @dataclass
 class LoadOptions:
     """Controls edge-list parsing.
@@ -86,7 +79,15 @@ class LoadOptions:
     token_map: Optional[dict] = None
 
     def resolved_tokens(self) -> dict:
-        return dict(self.token_map) if self.token_map is not None else _default_token_map(self.alphabet)
+        """The sign-token map; raises ValueError if it names a label outside the alphabet."""
+        tokens = {name: i for i, name in enumerate(self.alphabet.names)}
+        if self.token_map is not None:
+            tokens = dict(self.token_map)
+        elif self.alphabet.names == SIGNED.names:
+            tokens.update({"1": 0, "+1": 0, "-1": 1})
+        if not set(tokens.values()) <= set(range(self.alphabet.size)):
+            raise ValueError("token_map maps a sign token to a label outside the alphabet")
+        return tokens
 
 
 @dataclass
@@ -247,9 +248,6 @@ class SignedGraph:
         a, b = self._out_ptr[u], self._out_ptr[u + 1]
         return self._dst[a:b], self._lbl[a:b]
 
-    def out_degree(self, u: int) -> int:
-        return int(self._out_ptr[u + 1] - self._out_ptr[u])
-
     def in_tails(self, u: int, label: Optional[int] = None) -> np.ndarray:
         """Sorted array of tails pointing at ``u`` (with ``label`` if given)."""
         L = self.alphabet.size
@@ -359,8 +357,45 @@ def normalize_edge_arrays(src, dst, lbl, node_count):
 NODE_COMMENT = "# node "
 
 
+def read_edge_lines(path, tokens, nodes=None):
+    """The ``(src ids, dst ids, labels)`` lists of an edge list's data lines, in file order.
+
+    A data line is ``src dst sign``; ``tokens`` maps sign tokens to label
+    indices. Blank lines and ``#`` comments are skipped, but a ``# node
+    <id>`` line adds its id to the set ``nodes`` when that is given.
+
+    Raises:
+        EdgeListParseError: wrong arity or unknown sign token, naming the line.
+        OSError: unreadable file.
+    """
+    src, dst, lbl = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if nodes is not None and line.startswith(NODE_COMMENT):
+                    name = line[len(NODE_COMMENT):].strip()
+                    if name:
+                        nodes.add(name)
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise EdgeListParseError(
+                    f"{path}:{lineno}: expected 'src dst sign', got {len(parts)} fields")
+            try:
+                lbl.append(tokens[parts[2]])
+            except KeyError:
+                raise EdgeListParseError(
+                    f"{path}:{lineno}: unknown sign token {parts[2]!r}") from None
+            src.append(parts[0])
+            dst.append(parts[1])
+    return src, dst, lbl
+
+
 def load_edge_list(path, options: Optional[LoadOptions] = None):
-    """Parse a whitespace-separated ``src dst sign`` edge list.
+    """Parse a whitespace-separated ``src dst sign`` edge list (``read_edge_lines``).
 
     Lines beginning with ``#`` are comments; the writer's ``# node <id>``
     registration lines are honored so that edge-free nodes survive a
@@ -380,54 +415,18 @@ def load_edge_list(path, options: Optional[LoadOptions] = None):
         OSError: unreadable file.
     """
     options = options or LoadOptions()
-    tokens = options.resolved_tokens()
-    alphabet = options.alphabet
-
     ext_nodes = set()
-    src_t, dst_t, lbl_t = [], [], []
-    report = LoadReport(raw_label_counts=np.zeros(alphabet.size, dtype=np.int64))
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith(NODE_COMMENT):
-                    name = line[len(NODE_COMMENT):].strip()
-                    if name:
-                        ext_nodes.add(name)
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise EdgeListParseError(
-                    f"{path}:{lineno}: expected 'src dst sign', got {len(parts)} fields")
-            s_tok, d_tok, sign = parts
-            try:
-                label = tokens[sign]
-            except KeyError:
-                raise EdgeListParseError(
-                    f"{path}:{lineno}: unknown sign token {sign!r}") from None
-            ext_nodes.add(s_tok)
-            ext_nodes.add(d_tok)
-            src_t.append(s_tok)
-            dst_t.append(d_tok)
-            lbl_t.append(label)
-            report.raw_lines += 1
-            report.raw_label_counts[label] += 1
-
-    external_ids = sorted(ext_nodes)
-    report.raw_nodes = len(external_ids)
+    src_t, dst_t, lbl_t = read_edge_lines(path, options.resolved_tokens(), ext_nodes)
+    external_ids = sorted(ext_nodes.union(src_t, dst_t))
     idx = {e: i for i, e in enumerate(external_ids)}
     n = len(external_ids)
-
-    src = np.fromiter((idx[t] for t in src_t), dtype=np.int64, count=len(src_t))
-    dst = np.fromiter((idx[t] for t in dst_t), dtype=np.int64, count=len(dst_t))
-    lbl = np.asarray(lbl_t, dtype=np.int64)
-    src, dst, lbl, n_self, n_dup = normalize_edge_arrays(src, dst, lbl, n)
-    report.self_loops_dropped = n_self
-    report.duplicates_collapsed = n_dup
-    return SignedGraph(n, src, dst, lbl, alphabet, external_ids), report
+    src = np.fromiter(map(idx.__getitem__, src_t), dtype=np.int64, count=len(src_t))
+    dst = np.fromiter(map(idx.__getitem__, dst_t), dtype=np.int64, count=len(dst_t))
+    raw = np.asarray(lbl_t, dtype=np.int64)
+    src, dst, lbl, n_self, n_dup = normalize_edge_arrays(src, dst, raw, n)
+    report = LoadReport(raw.size, n, np.bincount(raw, minlength=options.alphabet.size),
+                        n_self, n_dup)
+    return SignedGraph(n, src, dst, lbl, options.alphabet, external_ids), report
 
 
 def write_edge_list(graph: SignedGraph, path) -> None:

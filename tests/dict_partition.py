@@ -84,11 +84,6 @@ class DictPartition:
             out[c, d] = vec
         return out
 
-    @property
-    def pair_counts(self) -> np.ndarray:
-        """``dense_counts()``, read by ``apply_edge_batch``'s pre-write check."""
-        return self.dense_counts()
-
     def objective(self) -> float:
         return math.fsum(pair_entropy_weight(self._counts[k]) for k in sorted(self._counts))
 

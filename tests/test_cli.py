@@ -321,7 +321,7 @@ def test_update_merges_like_concatenation(capsys, g1_file, tmp_path):
 
 def test_update_snapshots_written(capsys, g1_file, tmp_path):
     batch = tmp_path / "batch.txt"
-    batch.write_text("i j -\n")
+    batch.write_text("# node zz\ni j -\n")       # a node line in a batch is a comment
     nam_p, cam_p = tmp_path / "t.nam", tmp_path / "t.cam"
     part_p = tmp_path / "part.txt"
     rc, _ = run_lines(capsys, [
@@ -347,6 +347,11 @@ def test_update_rejects_bad_batch_line(capsys, g1_file, tmp_path):
     batch.write_text("i x ?\n")
     assert main(["update", "--input", str(g1_file), "--batch", str(batch),
                  "--clusters", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {batch}:1: unknown sign token '?'\n"
+    batch.write_text("i x\n")
+    assert main(["update", "--input", str(g1_file), "--batch", str(batch),
+                 "--clusters", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {batch}:1: expected 'src dst sign', got 2 fields\n"
 
 
 def _write_update_inputs(d):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import linklabel.counts as counts_mod
 from linklabel import (
     ANY,
     MODEL_KINDS,
@@ -21,6 +22,8 @@ from linklabel import (
     save_cam_snapshot,
     save_nam_snapshot,
 )
+
+from linklabel.counts import receiver_blocks
 
 from conftest import G1_EDGES, J, X, graph_from, random_batch, random_edge_list, random_graph
 import oracles
@@ -141,6 +144,39 @@ def test_budget_guard(g1):
     assert exc.value.projected_cost == 13 and exc.value.budget == 12
     forced = build_precomputed_nam(g1, budget=12, override=True)
     assert forced.count(J, 0, X, 0) == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_receiver_blocks_follow_brute_force_pair_counts(monkeypatch, seed):
+    # A receiver's pair count is the out-degree sum of its in-tails. Count
+    # it edge by edge, redo the greedy split, and get the same blocks; the
+    # last five nodes have no edges, and some receivers come twice.
+    monkeypatch.setattr(counts_mod, "BLOCK_PAIRS", 30 + 10 * seed)
+    monkeypatch.setattr(counts_mod, "BLOCK_CELLS", 16384 if seed < 2 else 600)
+    rng = np.random.default_rng(seed)
+    n, L = 30, 2 + seed % 2
+    g = graph_from(random_edge_list(rng, n - 5, L, edge_prob=0.15), n, L)
+    outdeg = np.zeros(n, dtype=np.int64)
+    for s, _, _ in g.edges():
+        outdeg[s] += 1
+    pairs = np.zeros(n, dtype=np.int64)
+    for s, d, _ in g.edges():
+        pairs[d] += outdeg[s]
+    receivers = np.concatenate((rng.integers(0, n, size=25), np.arange(n - 5, n), [3, 3]))
+    per_block = max(1, counts_mod.BLOCK_CELLS // (n * L * L))
+    expected, cur = [], []
+    for r in sorted(set(receivers.tolist())):
+        if cur and (pairs[cur].sum() + pairs[r] > counts_mod.BLOCK_PAIRS
+                    or len(cur) == per_block):
+            expected.append(cur)
+            cur = []
+        cur.append(r)
+    expected.append(cur)
+    blocks = receiver_blocks(g, rng.permutation(receivers))
+    assert [b.tolist() for b in blocks] == expected
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert len(expected) > 2 and not pairs[n - 5:].any()
+    assert receiver_blocks(g, []) == []
 
 
 # -- cluster-level values ---------------------------------------------------------
@@ -323,7 +359,9 @@ def test_batch_shares_or_extends_the_id_map(g1):
     ext = g1.external_of
     same, report = apply_edge_batch(counts, cc, g1, [(ext(0), ext(1), 1)])
     assert report.new_nodes == 0 and same.external_ids is g1.external_ids
-    grown, _ = apply_edge_batch(counts, cc, same, [("n1", ext(2), 0), (ext(3), "n2", 1)])
+    # n1's pair comes again after n2's: n1 keeps the number of its first line.
+    grown, _ = apply_edge_batch(counts, cc, same, [("n1", ext(2), 0), (ext(3), "n2", 1),
+                                                   ("n1", ext(2), 1)])
     assert grown.external_ids == [ext(u) for u in range(6)] + ["n1", "n2"]
     assert grown.node_of("n1") == 6 and grown.node_of("n2") == 7
     assert grown.has_node(ext(5))
@@ -358,6 +396,13 @@ def test_batch_rejects_unknown_nodes_without_interning(g1):
     with pytest.raises(ValueError, match="ghost"):
         apply_edge_batch(counts, cc, g1, [("ghost", g1.external_of(0), 0)],
                          auto_intern=False)
+    # An unknown id seen only in a self-loop is dropped with it, not interned.
+    for auto_intern in (False, True):
+        new_g, report = apply_edge_batch(counts, cc, g1, [("ghost", "ghost", 0)],
+                                         auto_intern=auto_intern)
+        assert report.self_loops_dropped == 1 and report.new_nodes == 0
+        assert not new_g.has_node("ghost") and new_g.node_count == 6
+        g1 = new_g
 
 
 def test_batch_rejects_label_out_of_range(g1):
@@ -391,7 +436,8 @@ def test_batch_on_corrupted_partition_changes_nothing():
     part.pair_counts[roles[u], roles[v], l] = 0
     before = (dict(counts.table), dict(cc.table), part.pair_counts.copy(),
               part.assignment.copy())
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError,
+                       match=rf"pair count for \({roles[u]}, {roles[v]}\) label {l} went negative"):
         apply_edge_batch(counts, cc, g, [(g.external_of(u), g.external_of(v), 1 - l)])
     assert counts.table == before[0] and cc.table == before[1]
     assert np.array_equal(part.pair_counts, before[2])

@@ -105,6 +105,10 @@ def test_multilabel_loading(tmp_path):
     g, _ = load_edge_list(p, opts)
     assert g.alphabet.size == 3
     assert sorted(l for _, _, l in g.edges()) == [0, 1, 2]
+    for label in (3, -1):       # a token map may only name labels of its alphabet
+        bad = LoadOptions(alphabet=opts.alphabet, token_map={"x": 0, "y": 1, "z": label})
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            load_edge_list(p, bad)
 
 
 def test_roundtrip_preserves_content(tmp_path):

@@ -27,12 +27,13 @@ store serves one query, or one count, with a block of one receiver.
 
 The precomputed node-level store (``NodeCountStore``) holds concrete keys
 only, (m, l, n, lp) with both labels real, as sorted ``int64`` codes
-((m * L + l) * N + n) * L + lp with ``int64`` counts: 16 bytes per entry.
-Every ANY count is derived by summing over labels, which is exact at node
-level. It is built in one vectorized pass over every tail's ordered
-out-edge pairs (``_pair_codes``, then ``np.unique``) and read with
-``searchsorted``; ``CooccurrenceCounts.table`` shows it as a read-only
-mapping over all four key families. A stream batch touches only the
+((m * L + l) * R + n) * L + lp for N nodes, with the code radix R the
+power of two >= N, and ``int64`` counts: 16 bytes per entry. Every ANY
+count is derived by summing over labels, exact at node level. It is
+built in one vectorized pass over every tail's ordered out-edge pairs
+(``_pair_codes``, then ``np.unique``) and read with ``searchsorted``;
+``CooccurrenceCounts.table`` shows it as a read-only mapping over all
+four key families. A stream batch touches only the
 ordered out-edge pairs that hold a changed edge (``_pairs_through``), so
 its cost is O(out-degree) per changed edge, not O(out-degree^2) per
 changed tail: counts of keys already present change in place and new keys
@@ -47,9 +48,10 @@ The cluster table is one dense ``int64`` array (K, K, L + 1, K, L + 1), ANY
 at label index 0. A node's 0/1 incidence row (``_incidence_rows``) marks
 each (cluster, label) and (cluster, ANY) it points into; cluster s's slice
 is R.T @ R over its nodes' rows, and a stream batch adds N.T @ N - O.T @ O
-over its changed tails' rows in the new and the old graph. Queries read
-it by fancy indexing (``cluster_evidence``). At K = 30, L = 2 it has
-243k cells (1.9 MB), built in ~0.01–0.02 s on the serve-stream graph. Every
+over its changed tails' rows in the new and the old graph, as the sparse
+D.T @ N + O.T @ D with D = N - O. Queries read it by fancy indexing
+(``cluster_evidence``). At K = 30, L = 2 it has 243k cells (1.9 MB),
+built in ~0.01–0.02 s on the serve-stream graph. Every
 batch is read in one pass and spliced into a new ``SignedGraph``
 (``splice_edges``); the partition's own all-or-nothing retract of the
 relabels' old labels is the check that it matches the graph.
@@ -126,18 +128,20 @@ MERGE_FRACTION = 1 / 32
 class NodeCountStore:
     """Concrete node-level counts as sorted ``int64`` codes with ``int64`` counts.
 
-    The key (m, l, n, lp), labels real, has the code ((m * L + l) * N + n) *
-    L + lp for N nodes, so code order is key order and ``renumber`` keeps it
-    when nodes are added. Entries live in two sorted runs that never share
-    a code: the main run, and a small pending run that takes the keys a
-    stream batch adds. A read searches both. An update changes present keys
-    in place, zeros included; zeros are dropped only when the pending run
-    outgrows ``MERGE_FRACTION`` of the main run and the two are merged
-    (``_merge_runs``, which ``nonzero`` reads through too).
+    The key (m, l, n, lp), labels real, has the code ((m * L + l) * R + n) *
+    L + lp for N nodes and the code radix R = ``_code_radix(N)``, the power
+    of two >= N, so code order is key order. ``renumber`` takes added nodes
+    and re-encodes only when they outgrow R: a stream re-encodes O(log n)
+    times. Entries live in two sorted runs that
+    never share a code: the main run, and a small pending run that takes
+    the keys a stream batch adds. A read searches both. An update changes
+    present keys in place, zeros included; zeros are dropped only when the
+    pending run outgrows ``MERGE_FRACTION`` of the main run and the two are
+    merged (``_merge_runs``, which ``nonzero`` reads through too).
     """
 
     def __init__(self, node_count: int, L: int, codes: np.ndarray, vals: np.ndarray):
-        self.N, self.L = int(node_count), int(L)
+        self.N, self.L, self.R = int(node_count), int(L), _code_radix(int(node_count))
         self.codes, self.vals = codes, vals
         self.pending_codes = self.pending_vals = np.empty(0, dtype=np.int64)
         self.merges = 0
@@ -149,7 +153,7 @@ class NodeCountStore:
 
     def encode(self, m, l, n, lp):
         """Codes of the concrete keys (m, l, n, lp), broadcast over arrays."""
-        return ((np.asarray(m, dtype=np.int64) * self.L + l) * self.N + n) * self.L + lp
+        return ((np.asarray(m, dtype=np.int64) * self.L + l) * self.R + n) * self.L + lp
 
     def get(self, codes) -> np.ndarray:
         """The counts at ``codes``, 0 where absent."""
@@ -192,46 +196,61 @@ class NodeCountStore:
         return _merge_runs([self.codes, self.vals, self.pending_codes, self.pending_vals])
 
     def renumber(self, node_count: int) -> None:
-        """Re-encode every code for ``node_count`` nodes (at least N); order is kept."""
-        old, new = self.N * self.L, int(node_count) * self.L
-        if new != old:
+        """Take ``node_count`` nodes, at least N (else ValueError, before any change);
+        codes are re-encoded, in order, only when the radix grows (``_code_radix``)."""
+        if node_count < self.N:
+            raise ValueError(f"cannot renumber {self.N} nodes to {node_count}")
+        old, R = self.R * self.L, _code_radix(int(node_count))
+        if R != self.R:
             for name in ("codes", "pending_codes"):
                 q, r = np.divmod(getattr(self, name), old)
-                setattr(self, name, q * new + r)
-            self.N = int(node_count)
+                setattr(self, name, q * (R * self.L) + r)
+        self.N, self.R = int(node_count), R
+
+
+def _code_radix(node_count: int) -> int:
+    """The node-store code radix for ``node_count`` nodes: the power of two >= it."""
+    return 1 << max(node_count - 1, 0).bit_length()
 
 
 def _merge_runs(runs):
     """The nonzero entries of the sorted runs ``[codes, counts, pending codes, pending counts]``.
 
-    Each output array is written once, at its final size, and each input
-    leaves ``runs`` once copied, so one held nowhere else is freed then.
+    Pending entry i lands at ``searchsorted(codes, pending)[i] + i`` of the
+    merged order. Each output array is written once, at the merged size,
+    through one mask, and each input leaves ``runs`` once copied, so one
+    held nowhere else is freed then; zeros are then dropped, if any.
     """
-    at, keep = np.searchsorted(runs[0], runs[2]), [runs[1] != 0, runs[3] != 0]
-    kept = np.insert(keep[0], at, keep[1])          # nonzero flags, in merged order
-    from_pending = np.insert(np.zeros(runs[0].size, dtype=bool), at, True)[kept]
+    size = runs[0].size + runs[2].size
+    from_pending = np.zeros(size, dtype=bool)
+    from_pending[np.searchsorted(runs[0], runs[2]) + np.arange(runs[2].size)] = True
+    from_main = ~from_pending
     out = []
     for i in (0, 1):
-        out.append(np.empty(from_pending.size, dtype=np.int64))
-        out[i][~from_pending] = runs[i][keep[0]]
-        out[i][from_pending] = runs[i + 2][keep[1]]
+        out.append(np.empty(size, dtype=np.int64))
+        out[i][from_main] = runs[i]
+        out[i][from_pending] = runs[i + 2]
         runs[i] = runs[i + 2] = None
+    keep = out[1] != 0
+    if not keep.all():
+        for i in (0, 1):
+            out[i] = out[i][keep]
     return tuple(out)
 
 
-def _pair_codes(graph: SignedGraph, tails, N: int) -> np.ndarray:
-    """Codes (for N nodes) of the ordered pairs of each tail's out-edges, self-pairs included."""
+def _pair_codes(graph: SignedGraph, tails, R: int) -> np.ndarray:
+    """Codes (radix R) of the ordered pairs of each tail's out-edges, self-pairs included."""
     out_ptr, heads, labels, _, _ = graph.csr()
     L = graph.alphabet.size
     lo, hi = out_ptr[tails], out_ptr[tails + 1]
     a, k = _ranges(lo, hi)              # every out-edge, with its tail's index
     b, i = _ranges(lo[k], hi[k])        # per out-edge a, every out-edge of its tail
     a = a[i]
-    return ((heads[a] * L + labels[a]) * N + heads[b]) * L + labels[b]
+    return ((heads[a] * L + labels[a]) * R + heads[b]) * L + labels[b]
 
 
-def _pairs_through(graph: SignedGraph, tails, heads, labels, N: int):
-    """Codes (for N nodes) and signs of the ordered out-edge pairs through some edges.
+def _pairs_through(graph: SignedGraph, tails, heads, labels, R: int):
+    """Codes (radix R) and signs of the ordered out-edge pairs through some edges.
 
     The edges ``(tails[k], heads[k], labels[k])`` are out-edges of
     ``graph``. For a tail with out-edges S, X of them given, the pairs
@@ -242,12 +261,12 @@ def _pairs_through(graph: SignedGraph, tails, heads, labels, N: int):
     L = graph.alphabet.size
     order = np.argsort(tails, kind="stable")
     tails = tails[order]
-    x = heads[order] * L + labels[order]        # code = first * N * L + second
+    x = heads[order] * L + labels[order]        # code = first * R * L + second
     e, k = _ranges(out_ptr[tails], out_ptr[tails + 1])
     s, xk = h[e] * L + lab[e], x[k]
     j, i = _ranges(np.searchsorted(tails, tails), np.searchsorted(tails, tails, side="right"))
-    NL = N * L
-    codes = np.concatenate((s * NL + xk, xk * NL + s, x[i] * NL + x[j]))
+    RL = R * L
+    codes = np.concatenate((s * RL + xk, xk * RL + s, x[i] * RL + x[j]))
     return codes, np.repeat([1, 1, -1], [s.size, s.size, j.size])
 
 
@@ -298,15 +317,15 @@ class NodeTableView(_CountView):
     def _columns(self):
         # Keys in tuple order: labels stored as label + 1 (ANY = 0), radix L + 1.
         st = self._store
-        N, L, L1 = st.N, st.L, st.L + 1
+        R, L, L1 = st.R, st.L, st.L + 1
         codes, vals = st.nonzero()
-        ml, nlp = np.divmod(codes, N * L)
+        ml, nlp = np.divmod(codes, R * L)
         m, l = np.divmod(ml, L)
         n, lp = np.divmod(nlp, L)
-        full = np.concatenate([((m * L1 + a) * N + n) * L1 + b
+        full = np.concatenate([((m * L1 + a) * R + n) * L1 + b
                                for a in (l + 1, 0) for b in (lp + 1, 0)])
         full, vals = _sum_by_code(full, np.tile(vals, 4))
-        ml, nlp = np.divmod(full, N * L1)
+        ml, nlp = np.divmod(full, R * L1)
         m, l = np.divmod(ml, L1)
         n, lp = np.divmod(nlp, L1)
         return m, l - 1, n, lp - 1, vals
@@ -409,7 +428,8 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     if cost > budget and not override:
         raise BudgetExceededError(cost, budget)
     n = graph.node_count
-    codes, vals = np.unique(_pair_codes(graph, np.arange(n), n), return_counts=True)
+    codes, vals = np.unique(_pair_codes(graph, np.arange(n), _code_radix(n)),
+                            return_counts=True)
     store = NodeCountStore(n, graph.alphabet.size, codes, vals.astype(np.int64))
     return CooccurrenceCounts(graph, store, projected_pair_cost=cost)
 
@@ -712,12 +732,13 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     tail costs no more than its degree. It changes present keys in place
     and adds new keys to the store's pending run, which is merged into the
     main run now and then (``NodeCountStore``).
-    The cluster table adds, per cluster of the changed tails, one ``int64``
-    product over their incidence rows in both graphs: O(out-degree +
-    K^2 (L + 1)^2) per changed tail. On the 2,000-node serve-stream graph a 20-edge
-    batch takes ~2.4–2.8 ms on a 2-vCPU Xeon (~8.5 ms when the new graph was
-    rebuilt with a ``lexsort``): ~0.6 ms for the spliced graph, ~1 ms for
-    the node store, merges included.
+    The cluster table adds the sparse D.T @ N + O.T @ D of the changed
+    tails' incidence rows in the new (N) and the old (O) graph, D = N - O,
+    as two scatters: O(out-degree + K (L + 1)) per changed (tail, column).
+    On the 2,000-node serve-stream graph a 20-edge batch takes ~1.3–1.4 ms
+    median on a 2-vCPU Xeon (~1.9 ms with per-cluster products; ~8.5 ms when
+    the new graph was rebuilt with a ``lexsort``): ~0.5 ms for the spliced
+    graph, ~0.4 ms for the node store outside its merges (~8–10 ms each).
 
     Phases: 0, one pass normalizes the batch and interns its ids; 1, the
     spliced graph and each pair's old label; 2, the node store's delta;
@@ -791,13 +812,15 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     report.added = int(changed.sum()) - report.relabeled
 
     # Phase 2, before any write: the node store's delta, the ordered
-    # out-edge pairs through a gained edge minus those through a lost one.
+    # out-edge pairs through a gained edge minus those through a lost one,
+    # encoded with the radix the store has once it holds n_new nodes.
     tails = np.unique(b_src[changed])
     if counts.store is not None:
+        R = _code_radix(n_new)
         gained, g_sign = _pairs_through(new_graph, b_src[changed], b_dst[changed],
-                                        b_lbl[changed], n_new)
+                                        b_lbl[changed], R)
         lost, l_sign = _pairs_through(graph, b_src[relabel], b_dst[relabel],
-                                      b_old[relabel], n_new)
+                                      b_old[relabel], R)
         nam_codes, nam_delta = _sum_by_code(np.concatenate((gained, lost)),
                                             np.concatenate((g_sign, -l_sign)))
         moved = nam_delta != 0
@@ -830,20 +853,24 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
                 partition.add_edge_counts(assignment[cu[mine]], assignment[cv[mine]],
                                           cl[mine], np.ones(len(ready), dtype=np.int64))
 
-    # Phase 4: the node store takes its delta; per cluster s of the changed
-    # tails, the cluster table adds N.T @ N - O.T @ O over their incidence
-    # rows in the new (N) and the old (O) graph, under the final assignment.
+    # Phase 4: the node store takes its delta. Per cluster s of the changed
+    # tails, the cluster table adds N.T @ N - O.T @ O = D.T @ N + O.T @ D
+    # over their incidence rows in the new (N) and the old (O) graph (O = 0
+    # for a new tail), under the final assignment, with D = N - O sparse:
+    # each D[t, c] = v adds v * N[t] to row c of s, and v * O[t] to column c.
     if counts.store is not None:
         counts.store.renumber(n_new)
         counts.store.add(nam_codes[moved], nam_delta[moved])
-    assignment, old = partition.assignment, tails[tails < n_old]
-    owner = assignment[np.concatenate((tails, old))]
-    rows = np.concatenate((_incidence_rows(new_graph, assignment, tails, K),
-                           _incidence_rows(graph, assignment, old, K)))
-    signed = rows * np.repeat([1, -1], [tails.size, old.size])[:, None]
-    for s in np.unique(owner).tolist():
-        mine = owner == s
-        cluster_counts.array[s] += (rows[mine].T @ signed[mine]).reshape(K, L + 1, K, L + 1)
+    assignment, was = partition.assignment, tails < n_old
+    rows_new = _incidence_rows(new_graph, assignment, tails, K)
+    rows_old = np.zeros_like(rows_new)
+    rows_old[was] = _incidence_rows(graph, assignment, tails[was], K)
+    diff = rows_new - rows_old
+    t, c = np.nonzero(diff)
+    v, s = diff[t, c][:, None], assignment[tails[t]]
+    table = cluster_counts.array.reshape(K, K * (L + 1), K * (L + 1))    # a view
+    np.add.at(table, (s, c), v * rows_new[t])
+    np.add.at(table, (s, slice(None), c), v * rows_old[t])
 
     counts.graph = new_graph
     cluster_counts.graph = new_graph

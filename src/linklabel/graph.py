@@ -115,16 +115,18 @@ class SignedGraph:
     never mutated after construction: counts and predictions read the CSR
     arrays and cache nothing on the graph (only the external-id dict is
     built lazily, on the first id lookup).
-    The in-index is one ``lexsort`` over all edges, unless ``in_index``
-    gives it prebuilt as ``(in_ptr, in_tails)``, as ``splice_edges`` does.
+    The out-pointers are one ``searchsorted`` and the in-index one
+    ``lexsort`` over all edges, unless ``index`` gives all three prebuilt
+    as ``(out_ptr, in_ptr, in_tails)``, as ``splice_edges`` does; only
+    then is ``external_ids`` kept as given, a fresh list, not copied.
     """
 
-    def __init__(self, node_count, src, dst, lbl, alphabet, external_ids, in_index=None):
+    def __init__(self, node_count, src, dst, lbl, alphabet, external_ids, index=None):
         # Inputs must already be normalized: unique ordered pairs, no
         # self-loops, sorted by (src, dst).
         self.node_count = int(node_count)
         self.alphabet = alphabet
-        self.external_ids = list(external_ids)
+        self.external_ids = external_ids if index is not None else list(external_ids)
         if len(self.external_ids) != self.node_count:
             raise ValueError("external id list does not match node count")
 
@@ -134,12 +136,12 @@ class SignedGraph:
         self.edge_count = int(self._src.size)
 
         n, L = self.node_count, alphabet.size
+        if index is not None:
+            self._out_ptr, self._inl_ptr, self._inl_src = index
+            return
         self._out_ptr = np.searchsorted(self._src, np.arange(n + 1))
 
         # In-adjacency split by label, sorted by (dst, label, src).
-        if in_index is not None:
-            self._inl_ptr, self._inl_src = in_index
-            return
         order = np.lexsort((self._src, self._lbl, self._dst))
         self._inl_src = self._src[order]
         key = self._dst[order] * L + self._lbl[order]
@@ -197,6 +199,7 @@ class SignedGraph:
         lbl = self._lbl.copy()
         lbl[pos[hit]] = b_lbl[hit]
         add = np.flatnonzero(~hit)[np.argsort(b_src[~hit] * n + b_dst[~hit])]
+        out_ptr[1:] += np.bincount(b_src[add], minlength=n).cumsum()
         src, dst, lbl = (np.insert(a, pos[add], b[add]) for a, b in
                          ((self._src, b_src), (self._dst, b_dst), (lbl, b_lbl)))
         # In-index rows are label slots dst * L + label: a relabel leaves its
@@ -212,17 +215,17 @@ class SignedGraph:
                           b_src[enter][order])
         in_ptr[1:] += (np.bincount(in_slots, minlength=n * L)
                        - np.bincount(out_slots, minlength=n * L)).cumsum()
-        return self._successor(new_ids, src, dst, lbl, (in_ptr, tails)), old
+        return self._successor(new_ids, src, dst, lbl, (out_ptr, in_ptr, tails)), old
 
-    def _successor(self, new_ids, src, dst, lbl, in_index=None) -> "SignedGraph":
+    def _successor(self, new_ids, src, dst, lbl, index=None) -> "SignedGraph":
         """A graph over these nodes plus ``new_ids``; with none it shares the id list and dict."""
-        ids, index = self.external_ids, self._ext_to_id
+        ids, ext_to_id = self.external_ids, self._ext_to_id
         if new_ids:
-            ids = ids + list(new_ids)
-            index = dict(index)
-            index.update(zip(new_ids, range(self.node_count, len(ids))))
-        g = SignedGraph(len(ids), src, dst, lbl, self.alphabet, ids, in_index)
-        g.external_ids, g._ext_to_id = ids, index
+            ids = [*ids, *new_ids]
+            ext_to_id = dict(ext_to_id)
+            ext_to_id.update(zip(new_ids, range(self.node_count, len(ids))))
+        g = SignedGraph(len(ids), src, dst, lbl, self.alphabet, ids, index)
+        g.external_ids, g._ext_to_id = ids, ext_to_id
         return g
 
     # -- lookups ------------------------------------------------------------

@@ -124,6 +124,36 @@ def test_stream_matches_dict_oracle_and_a_fresh_build_after_every_batch(L):
     part.verify_counts()
 
 
+def test_stream_delta_corner_cases():
+    # A batch changes the table by D.T @ N + O.T @ D over its changed tails'
+    # incidence rows, D = N - O. Each batch below makes one kind of D row.
+    # A stream never deletes an edge, so a tail's ANY column can only flip on.
+    edges = [(0, 2, 0), (0, 3, 1), (0, 7, 0), (1, 4, 0), (1, 2, 1), (3, 5, 0), (3, 0, 1),
+             (4, 0, 1), (5, 3, 0), (6, 2, 0), (7, 4, 1), (2, 6, 0)]
+    asg = np.array([0, 0, 1, 1, 2, 2, 0, 1])
+    g = graph_from(edges, 8)
+    part = Partition.from_assignment(g, asg, 3)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    # Each batch with the cell it must move: (s, m, l, n, lp) and by how much.
+    batches = [
+        ([("0", "2", 1)], None, 0),   # tail 0 keeps both labels into cluster 1 (3, 7): D = 0
+        ([("1", "4", 1)], (0, 2, 0, 2, 0), -1),     # tail 1 loses its last label-0 edge into 2
+        ([("1", "6", 0)], (0, 0, ANY, 0, ANY), 1),  # its first edge into 0: ANY flips on
+        ([("z", "0", 0), ("z", "4", 1), ("5", "z", 1)], None, 0),   # a new node as a tail
+        ([("3", "1", 0), ("3", "5", 1)], (1, 0, 0, 2, 1), 1),       # tail 3 gains and loses
+    ]
+    for k, (batch, key, change) in enumerate(batches):
+        before = cc.array.copy()
+        was = cc.count(*key) if key else 0
+        g, _ = apply_edge_batch(counts, cc, g, batch)
+        assert np.array_equal(cc.array, before) == (k == 0)
+        if key:
+            assert cc.count(*key) == was + change
+        assert cc.table == ClusterCounts.from_partition(g, part).table
+        assert dict(cc.table) == oracles.cam_table(list(g.edges()), part.assignment,
+                                                   g.node_count)
+
+
 # -- the shared read path and the view --------------------------------------------------
 
 @pytest.fixture

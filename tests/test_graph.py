@@ -138,6 +138,17 @@ def test_from_edges_normalizes():
     assert g.edge_map()[(0, 1)] == 1    # later label wins
 
 
+def test_id_list_is_the_graphs_own():
+    # A caller's list is copied, so mutating it later leaves the graph and
+    # its id lookup in step; any iterable of ids is taken.
+    ids = ["a", "b", "c"]
+    g = SignedGraph.from_edges(3, [(0, 1, 0), (2, 1, 1)], external_ids=ids)
+    ids[0] = "z"
+    assert g.external_ids == ["a", "b", "c"] and g.node_of("a") == 0
+    g = SignedGraph.from_edges(3, [(0, 1, 0)], external_ids=iter("xyz"))
+    assert g.external_ids == ["x", "y", "z"] and g.node_of("z") == 2
+
+
 def test_tail_sets_match_oracle(g1):
     t_any, t_lab = oracles.tail_sets(G1_EDGES, 6, 2)
     for u in range(6):

@@ -84,6 +84,57 @@ def test_stream_matches_dict_oracle_after_every_batch(L):
     assert counts.table == build_precomputed_nam(g).table
 
 
+def test_stream_across_the_code_radix(monkeypatch):
+    # Built at 8 nodes, the store's code radix is 8. A batch that brings
+    # nodes past the radix re-encodes every code and grows it to 16, later
+    # to 32; a batch that stays within it (up to exactly 16) keeps the codes.
+    monkeypatch.setattr(counts_module, "MERGE_FRACTION", 1e9)     # no merge replaces a run
+    rng = np.random.default_rng(9)
+    n, L = 8, 2
+    g = graph_from(random_edge_list(rng, n, L, edge_prob=0.4), n, L)
+    part = Partition.from_random(g, 3, rng)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    store = counts.store
+    assert store.R == 8
+    for grow, radix in ((1, 16), (0, 16), (6, 16), (1, 16), (3, 32), (2, 32)):
+        ext, before = g.external_ids, store.codes
+        edges = list(g.edges())
+        s, d, l = edges[int(rng.integers(len(edges)))]
+        batch = [(ext[s], ext[d], 1 - l)]                               # a relabel
+        batch += [(ext[u], ext[v], int(rng.integers(L)))
+                  for u, v in rng.choice(len(ext), size=(3, 2), replace=False).tolist()]
+        for k in range(grow):
+            tok = f"x{len(ext) + k}"
+            u, v = rng.choice(len(ext), size=2, replace=False).tolist()
+            batch += [(tok, ext[u], 0), (ext[v], tok, 1), (tok, ext[v], 1)]
+        regrow = g.node_count + grow > store.R
+        g, report = apply_edge_batch(counts, cc, g, batch)
+        assert report.new_nodes == grow and store.N == g.node_count and store.R == radix
+        assert (store.codes is not before) == regrow
+        oracle = _oracle(g)
+        _assert_table_is(counts, oracle)
+        concrete = sorted((k, v) for k, v in oracle.items() if ANY not in (k[1], k[3]))
+        codes, vals = store.nonzero()
+        keys = np.array([k for k, _ in concrete], dtype=np.int64).reshape(-1, 4).T
+        assert np.array_equal(codes, store.encode(*keys))
+        assert vals.tolist() == [v for _, v in concrete]
+    assert g.node_count == 21
+
+
+def test_renumber_below_the_node_count_raises_and_changes_nothing():
+    # N = 4, L = 2: code 30 is key (1, 1, 3, 0). Re-encoded for 3 nodes it
+    # would read as key (2, 0, 0, 0), code 24.
+    store = NodeCountStore(4, 2, np.array([30]), np.array([1]))
+    assert store.R == 4 and store.count(1, 1, 3, 0) == 1
+    with pytest.raises(ValueError, match="4 nodes to 3"):
+        store.renumber(3)
+    assert (store.N, store.R, store.codes.tolist()) == (4, 4, [30])
+    assert store.count(1, 1, 3, 0) == 1 and store.count(2, 0, 0, 0) == 0
+    store.renumber(5)                                # grows the radix to 8
+    assert (store.N, store.R, store.codes.tolist()) == (5, 8, [54])
+    assert store.count(1, 1, 3, 0) == 1
+
+
 def test_forced_merges_equal_the_dict_build(monkeypatch):
     # With MERGE_FRACTION 0 every batch that adds a key merges the runs: the
     # main run must then hold exactly the dict build's concrete entries.

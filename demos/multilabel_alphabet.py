@@ -53,11 +53,12 @@ a1 m1 neutral
 b1 m2 neutral
 """
 
-path = os.path.join(tempfile.mkdtemp(), "diplomacy.txt")
-with open(path, "w", encoding="utf-8") as fh:
-    fh.write(TEXT)
-
-graph, report = load_edge_list(path, LoadOptions(alphabet=DIPLOMACY))
+# The loader reads a file; write the text to one that is removed after.
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "diplomacy.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(TEXT)
+    graph, report = load_edge_list(path, LoadOptions(alphabet=DIPLOMACY))
 counts = np.asarray(graph.label_counts())
 print(f"loaded {graph.node_count} states, {graph.edge_count} relations")
 for name, c in zip(DIPLOMACY.names, counts):

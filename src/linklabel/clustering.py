@@ -13,18 +13,20 @@ argmin (greedy mode, ties to the lowest cluster id) or samples a cluster with
 probability proportional to exp(-delta / temperature).
 
 The state is dense: (K, K, L) pair label counts and (K, K) cached pair
-weights. Moving a node from cluster a to b changes only rows and columns a
-and b (the block-move bookkeeping of Peixoto, PRE 89, 012804, 2014), so a
-visit bins the node's edges by cluster and label (two bincounts over its CSR
-slices) and scores all K candidates in one numpy pass over K * 2(X + Y)
-cells, X and Y being its numbers of distinct head and tail clusters. Deltas
-are summed pair by pair in a fixed order from ``math.log2`` values: the
-floats of a pair-by-pair scalar loop.
+weights. A move from cluster a to b changes only pairs in rows and columns a
+and b (the block-move bookkeeping of Peixoto, PRE 89, 012804, 2014). A visit
+bins the node's edges by label and cluster of the other end with one gather
+and one bincount, and scores all K candidates in one numpy pass over
+K * 2(X + Y) pair slots (X, Y: its distinct head and tail clusters). The
+slots hold every pair a move changes, so a move writes their new values.
+Deltas are summed pair by pair in a fixed order from ``math.log2`` values:
+the floats of a pair-by-pair scalar loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +45,8 @@ def _xlog2x(n: int) -> np.ndarray:
     global _XLOG2X
     if n >= _XLOG2X.size:
         size = max(n + 1, 2 * _XLOG2X.size, 1024)
-        _XLOG2X = np.array([0.0] + [c * math.log2(c) for c in range(1, size)])
+        _XLOG2X = np.arange(size, dtype=float)        # exact: size < 2**53
+        _XLOG2X[1:] *= np.fromiter(map(math.log2, range(1, size)), float, size - 1)
     return _XLOG2X
 
 
@@ -57,6 +60,11 @@ def _pair_weights(counts, table: np.ndarray) -> np.ndarray:
     for c in counts:
         w = w - table[c]
     return w
+
+
+#: One scored visit: per candidate b, ``deltas[b]`` and the flat pairs
+#: ``cell[b]`` a move to b changes, with their ``new`` counts and ``weights``.
+_Visit = namedtuple("_Visit", "node deltas cell new weights")
 
 
 class Partition:
@@ -93,8 +101,10 @@ class Partition:
         self.pair_weights = _pair_weights(self.pair_counts.transpose(2, 0, 1),
                                           _xlog2x(self._edges))
         self._rows = np.arange(K)[:, None]
+        # A slot's row or column: _pick[k, c] is c, and _pick[k, -1] is k.
+        self._pick = np.where(np.arange(K + 1) < K, np.arange(K + 1), self._rows)
         self._labels = np.arange(L)[:, None, None]
-        self._csr_graph = None
+        self._index_graph = None
 
     @classmethod
     def from_assignment(cls, graph: SignedGraph, assignment, K: int) -> "Partition":
@@ -139,68 +149,90 @@ class Partition:
         tc, td = np.divmod(np.unique(c * K + d), K)
         self.pair_weights[tc, td] = _pair_weights(counts[tc, td].T, _xlog2x(self._edges))
 
-    def _ordered_deltas(self, cell, change, skip, added: int = 0) -> np.ndarray:
+    def _ordered_deltas(self, cell, change, skip, added: int = 0):
         """Per candidate (grid row), the objective change of shifting the
         counts of flat pairs ``cell`` (c * K + d) by ``change`` (label axis
-        first; ``added`` new edges): pair terms summed in slot order from
-        0.0, ``skip`` slots adding nothing."""
+        first; ``added`` new edges), summed in slot order from 0.0 with
+        ``skip`` slots adding nothing; then the slots' new counts and weights."""
         new = self.pair_counts.reshape(-1).take(cell * self._L + self._labels) + change
+        weights = _pair_weights(new, _xlog2x(self._edges + added))
         grid = np.zeros((self.K, cell.shape[1] + 1))
-        grid[:, 1:] = np.where(skip, 0.0, _pair_weights(new, _xlog2x(self._edges + added))
-                               - self.pair_weights.reshape(-1).take(cell))
-        return np.add.accumulate(grid, axis=1)[:, -1]
+        grid[:, 1:] = np.where(skip, 0.0, weights - self.pair_weights.reshape(-1).take(cell))
+        return np.add.accumulate(grid, axis=1)[:, -1], new, weights
 
     # -- node moves ----------------------------------------------------------
 
-    def _incident(self, node: int):
-        """Clusters of the node's heads and of its tails (label-major), and
-        the (L, K) counts of its out- and in-edges by label and cluster of
-        the other end."""
+    def _neighbours(self):
+        """Per node v, ``ends[ptr[2v]:ptr[2v + 2]]``: its heads, then from
+        ``ptr[2v + 1]`` its tails in in-index order, each with its (side,
+        label) offset l*K or (L + l)*K in ``offs``; scattered, not sorted."""
         g, K, L = self.graph, self.K, self._L
-        if self._csr_graph is not g:
+        if self._index_graph is not g:
             out_ptr, heads, labels, in_ptr, tails = g.csr()
-            in_labels = np.repeat(np.arange(in_ptr.size - 1) % L, np.diff(in_ptr))
-            self._csr = (out_ptr, heads, labels, in_ptr, tails, in_labels)
-            self._csr_graph = g
-        out_ptr, heads, labels, in_ptr, tails, in_labels = self._csr
-        o = slice(out_ptr[node], out_ptr[node + 1])
-        i = slice(in_ptr[node * L], in_ptr[node * L + L])
-        hc, tc = self.assignment[heads[o]], self.assignment[tails[i]]
-        out_n = np.bincount(labels[o] * K + hc, minlength=L * K).reshape(L, K)
-        in_n = np.bincount(in_labels[i] * K + tc, minlength=L * K).reshape(L, K)
-        return hc, tc, out_n, in_n
+            n, E = g.node_count, heads.size
+            in_slot = np.repeat(np.arange(n * L), np.diff(in_ptr))
+            ptr = np.empty(2 * n + 1, dtype=np.int64)
+            ptr[0::2] = out_ptr + in_ptr[::L]
+            ptr[1::2] = out_ptr[1:] + in_ptr[:-1:L]
+            at_out = np.arange(E) + in_ptr[g.edge_arrays[0] * L]
+            at_in = np.arange(E) + out_ptr[in_slot // L + 1]
+            ends, offs = np.empty(2 * E, np.int64), np.empty(2 * E, np.min_scalar_type(2 * L * K))
+            ends[at_out], ends[at_in] = heads, tails
+            offs[at_out], offs[at_in] = labels * K, (L + in_slot % L) * K
+            self._index, self._index_graph = (ptr, ends, offs), g
+        return self._index
 
-    def candidate_deltas(self, node: int) -> np.ndarray:
-        """Objective delta of moving ``node`` to each cluster (0 for its own).
+    def _visit(self, node: int) -> "_Visit":
+        """Score moving ``node`` to each cluster.
 
         For candidate b the slots are the pairs (a, x), (b, x) per head
         cluster x, then (y, a), (y, b) per tail cluster y (a being the node's
-        cluster): a pair counts once, at its first slot, in slot order.
+        cluster): a pair counts once, at its first slot, in slot order. The
+        slots cover every pair a move changes, so ``_move`` writes their new
+        values; a pair in two slots gets the same value in both.
         """
-        K, ks = self.K, self._rows
-        a = int(self.assignment[node])
-        hc, tc, out_n, in_n = self._incident(node)
+        K, L, pick, a = self.K, self._L, self._pick, int(self.assignment[node])
+        ptr, ends, offs = self._neighbours()
+        s, m, e = ptr[2 * node:2 * node + 3].tolist()
+        clusters = self.assignment[ends[s:e]]
+        out_n, in_n = np.bincount(offs[s:e] + clusters, minlength=2 * L * K).reshape(2, L, K)
         # Distinct head and tail clusters in order of first appearance.
-        xs, ys = (list(dict.fromkeys(c.tolist())) for c in (hc, tc))
-        nx2 = 2 * len(xs)
-        # The slots' rows and columns; -1 stands for the grid row's candidate.
+        xs, ys = (list(dict.fromkeys(c.tolist())) for c in (clusters[:m - s], clusters[m - s:]))
+        # The slots' rows and columns; -1 stands for grid row k's candidate k.
         row_of = np.array([a, -1] * len(xs) + [y for y in ys for _ in "ab"], dtype=np.int64)
         col_of = np.array([x for x in xs for _ in "ab"] + [a, -1] * len(ys), dtype=np.int64)
-        rows = np.where(row_of < 0, ks, row_of)
-        cols = np.where(col_of < 0, ks, col_of)
+        rows, cols = pick.take(row_of, axis=1), pick.take(col_of, axis=1)
         # Pair (r, c) gains the node's out-edges into c if r is the candidate
         # and loses them if r is a; likewise its in-edges from r by column.
-        row_sign = (rows == ks).astype(np.int64) - (rows == a)
-        col_sign = (cols == ks).astype(np.int64) - (cols == a)
+        sign = np.subtract(pick == self._rows, pick == a, dtype=np.int64)
+        row_sign, col_sign = sign.take(row_of, axis=1), sign.take(col_of, axis=1)
         by_label = self._labels * K      # flat (label, cluster) index offsets
-        change = (row_sign * out_n.take(cols + by_label)
-                  + col_sign * in_n.take(rows + by_label))
-        # An in-slot whose pair already sits among the out-slots adds nothing.
-        skip = ((np.arange(row_of.size) >= nx2) & ((rows == a) | (rows == ks))
-                & out_n.any(axis=0).take(cols))
-        deltas = self._ordered_deltas(rows * K + cols, change, skip)
+        change = row_sign * out_n.take(cols + by_label) + col_sign * in_n.take(rows + by_label)
+        # An in-slot whose pair sits among the out-slots adds nothing: its row
+        # is a or the candidate, a nonzero sign on every grid row but a's.
+        skip = (row_sign != 0) & out_n.any(axis=0).take(cols)
+        skip[:, :2 * len(xs)] = False
+        cell = rows * K + cols
+        deltas, new, weights = self._ordered_deltas(cell, change, skip)
         deltas[a] = 0.0
-        return deltas
+        return _Visit(node, deltas, cell, new, weights)
+
+    def _move(self, visit: "_Visit", b: int) -> None:
+        """Move the visited node to cluster b: write row b of its new pairs."""
+        node, a = visit.node, int(self.assignment[visit.node])
+        if b == a:
+            return
+        if not (0 <= b < self.K):
+            raise ValueError("target cluster out of range")
+        self.pair_counts.reshape(-1, self._L)[visit.cell[b]] = visit.new[:, b].T
+        self.pair_weights.reshape(-1)[visit.cell[b]] = visit.weights[b]
+        self.assignment[node] = b
+        self.sizes[a] -= 1
+        self.sizes[b] += 1
+
+    def candidate_deltas(self, node: int) -> np.ndarray:
+        """Objective delta of moving ``node`` to each cluster (0 for its own)."""
+        return self._visit(node).deltas
 
     def placement_deltas(self, node: int, edges) -> np.ndarray:
         """Objective change of placing unassigned ``node`` on each cluster.
@@ -216,28 +248,11 @@ class Partition:
         same = cell[:, :, None] == cell[:, None, :]
         # (L, K, S): per label, how many of the edges share each slot's pair.
         change = (same & (lab == self._labels[..., None])).sum(axis=-1)
-        return self._ordered_deltas(cell, change, np.tril(same, -1).any(axis=2), lab.size)
+        return self._ordered_deltas(cell, change, np.tril(same, -1).any(axis=2), lab.size)[0]
 
     def apply_move(self, node: int, to_cluster: int) -> None:
-        """Move a node, updating counts, weights and sizes incrementally."""
-        a = int(self.assignment[node])
-        b = int(to_cluster)
-        if b == a:
-            return
-        if not (0 <= b < self.K):
-            raise ValueError("target cluster out of range")
-        _, _, out_n, in_n = self._incident(node)
-        n, w = self.pair_counts, self.pair_weights
-        n[a] -= out_n.T
-        n[b] += out_n.T
-        n[:, a] -= in_n.T
-        n[:, b] += in_n.T
-        ab, table = [a, b], _xlog2x(self._edges)
-        w[ab] = _pair_weights(n[ab].transpose(2, 0, 1), table)
-        w[:, ab] = _pair_weights(n[:, ab].transpose(2, 0, 1), table)
-        self.assignment[node] = b
-        self.sizes[a] -= 1
-        self.sizes[b] += 1
+        """Move a node: one visit, then its counts and weights for the target."""
+        self._move(self._visit(node), int(to_cluster))
 
     # -- streaming support -----------------------------------------------------
 
@@ -344,13 +359,13 @@ def gibbs_sweep(graph: SignedGraph, partition: Partition, config: ClusterConfig,
         order = range(n)
     moves = 0
     for v in order:
-        deltas = partition.candidate_deltas(v)
+        visit = partition._visit(v)
         if config.greedy:
-            b = int(np.argmin(deltas))
+            b = int(visit.deltas.argmin())
         else:
-            b = boltzmann_pick(deltas, config.temperature, rng)
+            b = boltzmann_pick(visit.deltas, config.temperature, rng)
         if b != int(partition.assignment[v]):
-            partition.apply_move(v, b)
+            partition._move(visit, b)
             moves += 1
     return moves
 

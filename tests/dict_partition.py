@@ -23,6 +23,7 @@ floats bit for bit, so the float order here is the contract:
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -170,6 +171,13 @@ class DictPartition:
             if b != a:
                 deltas[b] = self._delta_for(a, b, out_g, in_g)
         return deltas
+
+    def _visit(self, node):
+        """A visit as ``gibbs_sweep`` takes it: the node and its deltas."""
+        return SimpleNamespace(node=node, deltas=self.candidate_deltas(node))
+
+    def _move(self, visit, to_cluster):
+        self.apply_move(visit.node, to_cluster)
 
     def placement_deltas(self, node, edges) -> np.ndarray:
         """Objective change of placing unassigned ``node`` on each cluster with ``edges``."""

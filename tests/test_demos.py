@@ -22,3 +22,5 @@ def test_demo_exits_cleanly(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+    # A demo's temporary files and directories are gone when it exits.
+    assert not list(tmp_path.glob("tmp*")), sorted(p.name for p in tmp_path.glob("tmp*"))

@@ -6,6 +6,8 @@ clustering runs and streamed batches must agree with it exactly: a delta one
 ulp off can flip an argmin and change every partition downstream.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,79 @@ def test_pair_weight_uses_math_log2():
     assert dense.pair_counts[0, 1].tolist() == [7957, 143]
     assert dense.pair_weights[0, 1] == pair_entropy_weight([7957, 143])
     assert dense.objective() == DictPartition(g, dense.assignment, 2).objective()
+
+
+def test_xlog2x_table_matches_the_scalar_loop_across_growth(monkeypatch):
+    monkeypatch.setattr(clustering, "_XLOG2X", np.zeros(1))
+    first = clustering._xlog2x(10)            # the minimum table
+    grown = clustering._xlog2x(first.size)    # one entry past it: doubled
+    assert (first.size, grown.size) == (1024, 2048)
+    loop = np.array([0.0] + [c * math.log2(c) for c in range(1, grown.size)])
+    assert grown.tobytes() == loop.tobytes()
+    assert first.tobytes() == loop[:first.size].tobytes()
+
+
+def _move_both(dense, ref, v, to):
+    dense.apply_move(v, to)
+    ref.apply_move(v, to)
+    _assert_same_state(dense, ref)
+    assert dense.pair_weights.tobytes() == Partition(dense.graph, dense.assignment,
+                                                     dense.K).pair_weights.tobytes()
+
+
+def test_apply_move_alone_and_after_another_nodes_move():
+    g, _ = generate_planted(120, 4, 0.1, 0.1, seed=9)
+    rng = np.random.default_rng(11)
+    for K in (1, 3, 30):
+        asg = rng.integers(0, K, size=g.node_count)
+        dense, ref = Partition(g, asg, K), DictPartition(g, asg, K)
+        for step in range(60):
+            # No visit before the move; every other step a visit of v that
+            # another node's move makes stale before v itself moves.
+            v, u = rng.choice(g.node_count, size=2, replace=False).tolist()
+            if step % 2:
+                dense.candidate_deltas(v)
+                _move_both(dense, ref, u, int(rng.integers(K)))
+            _move_both(dense, ref, v, int(rng.integers(K)))
+        dense.verify_counts()
+
+
+def test_apply_move_after_a_streamed_batch():
+    # The batch shifts pair counts, extends the assignment, places new
+    # nodes and swaps in a spliced graph; a move made afterwards must read
+    # the new graph's edges, not the neighbours indexed before the batch.
+    g, _ = generate_planted(80, 4, 0.12, 0.1, seed=12)
+    rng = np.random.default_rng(13)
+    asg = rng.integers(0, 4, size=g.node_count)
+    ext = g.external_of
+    batch = [(f"new{i}", ext(o), int(rng.integers(2))) for i in range(3)
+             for o in rng.choice(g.node_count, size=4, replace=False).tolist()]
+    batch += [(ext(o), "new0", 1) for o in (5, 6, 7)]
+    src, dst, lbl = g.edge_arrays
+    batch += [(ext(s), ext(d), 1 - l) for s, d, l in
+              zip(src[:10].tolist(), dst[:10].tolist(), lbl[:10].tolist())]
+    parts = []
+    for cls in (Partition, DictPartition):
+        part = cls(g, asg, 4)
+        part.apply_move(0, (int(asg[0]) + 1) % 4)
+        apply_edge_batch(build_precomputed_nam(g), ClusterCounts.from_partition(g, part),
+                         g, batch)
+        parts.append(part)
+    dense, ref = parts
+    n = dense.graph.node_count
+    assert n == g.node_count + 3
+    for v in [0, int(src[0]), n - 3, n - 2, n - 1] + rng.integers(0, n, size=20).tolist():
+        _move_both(dense, ref, v, int(rng.integers(4)))
+    dense.verify_counts()
+
+
+def test_greedy_cluster_at_k3_on_a_sparse_graph_matches_dict_partition(monkeypatch):
+    g, _ = generate_planted(300, 3, 0.01, 0.1, seed=1)
+    cfg = ClusterConfig(K=3, max_sweeps=8, restarts=2, seed=3)
+    part, trace = cluster(g, cfg)
+    part.verify_counts()
+    monkeypatch.setattr(clustering, "Partition", DictPartition)
+    ref_part, ref_trace = cluster(g, cfg)
+    assert trace == ref_trace
+    assert sum(moves for _, _, moves in trace) > 0
+    assert np.array_equal(part.assignment, ref_part.assignment)

@@ -218,10 +218,8 @@ class Partition:
         return _Visit(node, deltas, cell, new, weights)
 
     def _move(self, visit: "_Visit", b: int) -> None:
-        """Move the visited node to cluster b: write row b of its new pairs."""
+        """Move the visited node to cluster b, not its own: write row b of its new pairs."""
         node, a = visit.node, int(self.assignment[visit.node])
-        if b == a:
-            return
         if not (0 <= b < self.K):
             raise ValueError("target cluster out of range")
         self.pair_counts.reshape(-1, self._L)[visit.cell[b]] = visit.new[:, b].T
@@ -251,8 +249,10 @@ class Partition:
         return self._ordered_deltas(cell, change, np.tril(same, -1).any(axis=2), lab.size)[0]
 
     def apply_move(self, node: int, to_cluster: int) -> None:
-        """Move a node: one visit, then its counts and weights for the target."""
-        self._move(self._visit(node), int(to_cluster))
+        """Move a node: one visit, then its counts and weights for the target (none to its own)."""
+        b = int(to_cluster)
+        if b != self.assignment[node]:
+            self._move(self._visit(node), b)
 
     # -- streaming support -----------------------------------------------------
 

@@ -21,9 +21,12 @@ Every on-demand count is an entry of a co-citation product, count(j, l, x,
 l') = (A_l^T A_l')[j, x] with A_l the adjacency matrix restricted to label
 l, so one pass over the CSR arrays per block of receivers yields the counts
 of every context entry of every query into those receivers
-(``block_table``, read by ``_gather``). ``context_evidence`` serves many
-queries at once with blocks of receivers; ``CooccurrenceCounts`` without a
-store serves one query, or one count, with a block of one receiver.
+(``block_table``). One reader, ``node_evidence``, serves every node-level
+read for both count strategies: the counts of the context entries of a
+block of receivers, from a store with one lookup, else gathered from the
+block's ``block_table``. ``context_evidence`` reads it for many queries at
+once, a receiver block at a time; ``predict`` reads one query, and
+``count`` one count, with a block of one receiver.
 
 The precomputed node-level store (``NodeCountStore``) holds concrete keys
 only, (m, l, n, lp) with both labels real, as sorted ``int64`` codes
@@ -106,15 +109,6 @@ def _find(run, codes):
     return pos, run[pos] == codes
 
 
-def _node_key(N: int, L: int, key):
-    """The node-level key (m, l, n, lp) as integers, or None if a node or label is out of range.
-
-    Raises TypeError for a field that is not an integer (``operator.index``).
-    """
-    m, l, n, lp = key = tuple(map(operator.index, key))
-    return key if 0 <= m < N and 0 <= n < N and ANY <= l < L and ANY <= lp < L else None
-
-
 def _labels(l: int, L: int) -> np.ndarray:
     """The labels a selector reads: all L for ANY, else ``l`` alone."""
     return np.arange(L) if l == ANY else np.array([l])
@@ -164,13 +158,8 @@ class NodeCountStore:
         return out
 
     def count(self, m: int, l: int, n: int, lp: int) -> int:
-        """count(m, l, n, lp); an ANY label sums over its labels, a key out of range is 0."""
-        key = _node_key(self.N, self.L, (m, l, n, lp))
-        if key is None:
-            return 0
-        m, l, n, lp = key
-        return int(self.get(self.encode(m, _labels(l, self.L)[:, None], n,
-                                        _labels(lp, self.L)).ravel()).sum())
+        """count(m, l, n, lp) read through ``node_evidence`` (``_count``)."""
+        return _count(None, self, self.N, self.L, (m, l, n, lp))
 
     def add(self, codes: np.ndarray, deltas: np.ndarray) -> None:
         """Add ``deltas`` at the distinct sorted ``codes``."""
@@ -343,8 +332,8 @@ class CooccurrenceCounts:
     ``on_demand`` gives one without a store (``table`` None): each read
     counts the co-pointers of one node with ``block_table`` on the graph,
     which it never changes. Such a read costs O(n * L**2) (one dense
-    receiver table); callers that need many counts should use
-    ``query_counts`` once per query or ``predict_many``.
+    receiver table); callers that need many counts should read a query's
+    entries at once (``node_evidence``) or use ``predict_many``.
     """
 
     def __init__(self, graph: SignedGraph, store: Optional[NodeCountStore] = None,
@@ -359,40 +348,12 @@ class CooccurrenceCounts:
         return cls(graph)
 
     def count(self, m: int, l: int, n: int, lp: int) -> int:
-        """count(m, l, n, lp); an ANY label sums over its labels, a key out of range is 0.
+        """count(m, l, n, lp) read through ``node_evidence`` (``_count``).
 
         Without a store each call builds m's ``block_table``, O(n * L**2).
         """
-        if self.store is not None:
-            return self.store.count(m, l, n, lp)
         g = self.graph
-        L = g.alphabet.size
-        key = _node_key(g.node_count, L, (m, l, n, lp))
-        if key is None:
-            return 0
-        m, l, n, lp = key
-        return int(block_table(g, np.array([m]))[0, _labels(l, L)[:, None], n,
-                                                  _labels(lp, L)].sum())
-
-    def query_counts(self, j: int, heads: np.ndarray, labels: np.ndarray, mirrored: bool):
-        """One query's node-level evidence, for context entries (heads, labels).
-
-        Returns ``(num, mir)``: ``num[e, l] = count(j, l, x_e, l_e)`` and,
-        if ``mirrored``, ``mir[e, l] = count(x_e, ANY, j, l)`` (else None).
-        A store reads all of them with one lookup; without one they are
-        gathered from j's ``block_table``, as ``context_evidence`` does.
-        """
-        m, L = heads.size, self.graph.alphabet.size
-        if self.store is None:
-            return _gather(block_table(self.graph, np.array([j])),
-                           np.zeros(m, dtype=np.intp), heads, labels, mirrored)
-        st, lab = self.store, np.arange(L)
-        codes = [st.encode(j, lab, heads[:, None], labels[:, None]).ravel()]
-        if mirrored:        # [e, l2, l]: count(x_e, l2, j, l), summed over l2
-            codes.append(st.encode(heads[:, None, None], lab[:, None], j, lab).ravel())
-        got = st.get(np.concatenate(codes))
-        mir = got[m * L:].reshape(m, L, L).sum(axis=1) if mirrored else None
-        return got[:m * L].reshape(m, L), mir
+        return _count(g, self.store, g.node_count, g.alphabet.size, (m, l, n, lp))
 
 
 def projected_pair_cost(graph: SignedGraph) -> int:
@@ -485,14 +446,42 @@ def block_table(graph: SignedGraph, block: np.ndarray) -> np.ndarray:
     return np.bincount(key, minlength=rows.size * n * L).reshape(block.size, L, n, L)
 
 
-def _gather(table: np.ndarray, b, x, lx, mirrored: bool):
-    """``(num, mir)`` of entries (b, x, lx) of a block table; ``mir`` only if ``mirrored``.
+def node_evidence(graph: SignedGraph, store: Optional[NodeCountStore], block: np.ndarray,
+                  b, x: np.ndarray, lx: np.ndarray, mirrored: bool):
+    """``(num, mir)`` of context entries (x, lx) of receivers ``block[b]``.
 
-    ``num[e, l] = T[b_e, l, x_e, lx_e]``, and ``mir[e, l] = T[b_e, l, x_e,
-    :].sum()``, which is count(x_e, ANY, block[b_e], l), summed after the
-    gather so that no step reduces the whole table.
+    ``num[e, l] = count(block[b_e], l, x_e, lx_e)`` and, if ``mirrored``,
+    ``mir[e, l] = count(x_e, ANY, block[b_e], l)`` (else None); ``b`` is an
+    index array, or one index for one receiver. With a ``store`` they come
+    from one ``get`` of its codes. Without one they are gathered from the
+    block's ``block_table`` on ``graph``: ``mir[e, l] = T[b_e, l, x_e,
+    :].sum()``, summed after the gather so that no step reduces the whole
+    table.
     """
-    return table[b, :, x, lx], (table[b, :, x].sum(axis=-1) if mirrored else None)
+    if store is None:
+        table = block_table(graph, block)
+        return table[b, :, x, lx], (table[b, :, x].sum(axis=-1) if mirrored else None)
+    m, L, lab = x.size, store.L, np.arange(store.L)
+    j = block[b, None]
+    codes = store.encode(j, lab, x[:, None], lx[:, None]).ravel()
+    if mirrored:        # [e, l2, l]: count(x_e, l2, j_e, l), summed over l2
+        mirror = store.encode(x[:, None, None], lab[:, None], j[..., None], lab).ravel()
+        codes = np.concatenate((codes, mirror))
+    got = store.get(codes)
+    mir = got[m * L:].reshape(m, L, L).sum(axis=1) if mirrored else None
+    return got[:m * L].reshape(m, L), mir
+
+
+def _count(graph, store, N: int, L: int, key) -> int:
+    """count(m, l, n, lp) read through ``node_evidence``: an ANY label sums over
+    its labels, a key out of range is 0, a field that is not an integer
+    raises TypeError (``operator.index``)."""
+    m, l, n, lp = map(operator.index, key)
+    if not (0 <= m < N and 0 <= n < N and ANY <= l < L and ANY <= lp < L):
+        return 0
+    lps = _labels(lp, L)
+    num, _ = node_evidence(graph, store, np.array([m]), 0, np.full(lps.size, n), lps, False)
+    return int(num[:, _labels(l, L)].sum())
 
 
 @dataclass
@@ -515,18 +504,18 @@ class EvidenceBlock:
     mirrored: Optional[np.ndarray] # (m, L) count(x, ANY, j, l) for every label l
 
 
-def context_evidence(graph: SignedGraph, initiators, receivers,
+def context_evidence(counts: CooccurrenceCounts, initiators, receivers,
                      mirrored: Optional[bool] = True):
     """Yield the context entries of many queries, one receiver block at a time.
 
-    Query q is ``initiators[q] -> receivers[q]``; its context is that of
-    ``context_of``. The counts are gathered from each block's
-    ``block_table`` as ``CooccurrenceCounts.query_counts`` gathers one
-    receiver's, and equal ``CooccurrenceCounts.count`` on ``graph``. At
-    node level ANY counts are sums over labels, so count(j, ANY, x, l_x) is
-    ``num.sum(axis=1)``. ``mirrored`` None builds no counts, False ``num``
-    alone, True ``num`` and the mirrored counts.
+    Query q is ``initiators[q] -> receivers[q]`` on ``counts.graph``; its
+    context is that of ``context_of``. The counts are read from ``counts``
+    through ``node_evidence``, a block at a time, so a store or the graph
+    serves them. At node level ANY counts are sums over labels, so count(j,
+    ANY, x, l_x) is ``num.sum(axis=1)``. ``mirrored`` None reads no counts,
+    False ``num`` alone, True ``num`` and the mirrored counts.
     """
+    graph = counts.graph
     initiators = np.asarray(initiators, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
     out_ptr, heads, labels, _, _ = graph.csr()
@@ -545,8 +534,8 @@ def context_evidence(graph: SignedGraph, initiators, receivers,
         x, lx = heads[e], labels[e]
         num = mir = None
         if mirrored is not None:
-            num, mir = _gather(block_table(graph, block), np.searchsorted(block, j[row]),
-                               x, lx, mirrored)
+            num, mir = node_evidence(graph, counts.store, block,
+                                     np.searchsorted(block, j[row]), x, lx, mirrored)
         yield EvidenceBlock(q, sizes, row, position, x, lx, num, mir)
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clustering import ClusterConfig, cluster
-from .counts import ClusterCounts, context_evidence
+from .counts import ClusterCounts, CooccurrenceCounts, context_evidence
 from .graph import SignedGraph, sparsify
 # ``predict`` stays importable here, where callers may patch it.
 from .predictors import (CLUSTER_KINDS, LOCAL_KINDS, MODEL_KINDS,  # noqa: F401
@@ -332,7 +332,8 @@ def param_sample_cdf(graph: SignedGraph, fold_plan: FoldPlan, model_kind: str,
     for f in range(fold_plan.k):
         train = _train_graph_for_fold(graph, fold_plan, f)
         test = np.flatnonzero(fold_plan.fold_of_edge == f)
-        for blk in context_evidence(train, src[test], dst[test], mirrored):
+        for blk in context_evidence(CooccurrenceCounts.on_demand(train), src[test], dst[test],
+                                    mirrored):
             all_counts.append(_local_den(blk, kind in TARGET_KINDS).ravel())
     arr = np.concatenate(all_counts) if all_counts else np.empty(0, dtype=np.int64)
     fractions = {int(t): (float((arr < t).mean()) if arr.size else 0.0)

@@ -43,9 +43,10 @@ are all-zero generator scores; an empty context gives a generator the prior.
 
 One evidence layer and one combine serve every model and both entry
 points. Evidence is an ``EvidenceBlock``: context entries with their
-node-level counts. ``predict`` fills a block of one query through
-``CooccurrenceCounts.query_counts``, so any count store serves it;
-``predict_many`` fills blocks of many queries with one pass over the graph
+node-level counts, read through the one node-count reader
+(``counts.node_evidence``), so on-demand counts and a precomputed or
+stream-updated store serve both. ``predict`` fills a block of one query;
+``predict_many`` fills blocks of many queries, a receiver block at a time
 (``context_evidence``). ``_answer`` adds the entries' cluster-level counts,
 takes each side's estimate and the mix, and ``_ordered_sum`` adds the
 per-entry terms or log factors per query in context order, the float order
@@ -62,7 +63,7 @@ from typing import Optional
 import numpy as np
 
 from .counts import (ClusterCounts, CooccurrenceCounts, EvidenceBlock, cluster_evidence,
-                     context_evidence)
+                     context_evidence, node_evidence)
 from .graph import PredictionQuery, SignedGraph, context_of
 
 #: Recognized model kinds, in canonical order.
@@ -213,9 +214,9 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
     any counts given count over ``graph``, the partition being the cluster
     counts' own. The "prior" kind ignores the query and returns the
     training class prior.
-    Node-level counts are read through ``counts.query_counts``, so a
-    precomputed or stream-updated store serves them; the answer equals
-    ``predict_many``'s for the same query.
+    Node-level counts are read from ``counts`` (``node_evidence``), so a
+    precomputed or stream-updated store serves them as on-demand counts do;
+    the answer equals ``predict_many``'s for the same query.
     """
     kind = _checked_kind(model_kind, graph, counts, cluster_counts, partition)
     config = config or SmoothingConfig()
@@ -223,7 +224,14 @@ def predict(model_kind: str, graph: SignedGraph, query: PredictionQuery,
         raise ValueError(f"model {kind} needs node-level counts")
     if kind == "prior":
         return class_prior(graph)
-    blk = _query_evidence(graph, counts, query, _mirrored(kind, config))
+    ctx, mirrored = context_of(graph, query), _mirrored(kind, config)
+    m = len(ctx)
+    num = mir = None
+    if mirrored is not None:
+        num, mir = node_evidence(graph, counts.store, np.array([query.receiver]), 0,
+                                 ctx.heads, ctx.labels, mirrored)
+    blk = EvidenceBlock(np.zeros(1, dtype=np.int64), np.array([m]), np.zeros(m, dtype=np.int64),
+                        np.arange(m), ctx.heads, ctx.labels, num, mir)
     probs, defined, used, lam, n = _answer(kind, blk, (query.initiator, query.receiver),
                                            cluster_counts, config, _log_prior(kind, graph, config))
     support = _support(kind, blk, used, lam, n) if collect_support else None
@@ -243,33 +251,21 @@ def _mirrored(kind: str, config: SmoothingConfig) -> Optional[bool]:
     return kind not in TARGET_KINDS or (kind in CLUSTER_KINDS and config.lambda_mode == "paper")
 
 
-def _query_evidence(graph: SignedGraph, counts, query: PredictionQuery,
-                    mirrored: Optional[bool]):
-    """The ``EvidenceBlock`` of one query, its counts read from ``counts`` as ``_mirrored`` says."""
-    ctx = context_of(graph, query)
-    m = len(ctx)
-    num = mir = None
-    if mirrored is not None:
-        num, mir = counts.query_counts(query.receiver, ctx.heads, ctx.labels, mirrored)
-    return EvidenceBlock(np.zeros(1, dtype=np.int64), np.array([m]),
-                         np.zeros(m, dtype=np.int64), np.arange(m),
-                         ctx.heads, ctx.labels, num, mir)
-
-
 def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
                  counts: Optional[CooccurrenceCounts] = None,
                  cluster_counts: Optional[ClusterCounts] = None,
                  partition=None, config: Optional[SmoothingConfig] = None):
     """Answer many queries at once, bit for bit as ``predict`` answers each.
 
-    Query q is ``initiators[q] -> receivers[q]``. Node-level counts come
-    from one receiver-blocked pass over ``graph`` (``context_evidence``),
+    Query q is ``initiators[q] -> receivers[q]``. Node-level counts are
+    read from ``counts`` a receiver block at a time (``context_evidence``),
     cluster-level counts from the dense table (``cluster_evidence``). The
     estimates, the mix and the combine are those of ``predict``.
 
     Args:
-        counts: optional, since the node-level counts are taken from
-            ``graph``; when given it must count over ``graph`` itself.
+        counts: node-level counts over ``graph`` itself, a precomputed or
+            stream-updated store or on-demand counts; if None, on-demand
+            counts of ``graph``.
         cluster_counts, partition: required for the cluster-backed kinds;
             the cluster counts must count over ``graph``, and ``partition``
             must be the one they were built from.
@@ -298,7 +294,8 @@ def predict_many(model_kind: str, graph: SignedGraph, initiators, receivers,
         defined[:] = True
         return probs, defined
     log_prior = _log_prior(kind, graph, config)
-    for blk in context_evidence(graph, initiators, receivers, _mirrored(kind, config)):
+    counts = counts or CooccurrenceCounts.on_demand(graph)
+    for blk in context_evidence(counts, initiators, receivers, _mirrored(kind, config)):
         q = blk.queries[blk.row]
         p, d, _, _, _ = _answer(kind, blk, (initiators[q], receivers[q]), cluster_counts, config,
                                 log_prior)

@@ -183,6 +183,50 @@ def test_predict_rejects_unknown_query_node(capsys, g1_file, tmp_path):
     assert "not in training graph" in capsys.readouterr().err
 
 
+def test_predict_rejects_a_query_line_with_three_fields(capsys, g1_file, tmp_path):
+    q = tmp_path / "q.txt"
+    q.write_text("i j\n\ni j x\n")
+    assert main(["predict", "--input", str(g1_file), "--queries", str(q),
+                 "--model", "ltlgm"]) == 1
+    assert capsys.readouterr().err == f"error: {q}:3: expected 'src dst'\n"
+
+
+def test_blank_lines_change_no_record(capsys, g1_file, tmp_path):
+    # Blank lines in the edge list, partition, query and --config files
+    # are skipped: every record but the meta one (file digests) is the same.
+    files = {"edges": G1_TEXT, "part": "i 0\nj 1\nx 1\nw1 0\nw2 0\nw3 0\n",
+             "q": "i j\nw1 x\n", "cfg": "mu=0.5\nverbose=true\n"}
+    runs = []
+    for blank in ("", "\n \n"):
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}{len(blank)}.txt"
+            paths[name].write_text(blank + text.replace("\n", "\n" + blank))
+        rc, recs = run_lines(capsys, [
+            "predict", "--input", str(paths["edges"]), "--queries", str(paths["q"]),
+            "--model", "stlgm", "--partition-file", str(paths["part"]),
+            "--config", str(paths["cfg"])])
+        assert rc == 0 and recs[0]["config"]["mu"] == 0.5
+        runs.append(recs[1:])
+    assert len(runs[0]) == 2 and "support" in runs[0][0]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("text, verbose", [
+    ("verbose=yes\n", True), ("verbose=On\n", True), ("verbose=1\n", True),
+    ("verbose=false\n", False), ("verbose=no\n", False), ("# verbose=yes\n", False),
+])
+def test_config_equals_form_and_boolean_coercion(capsys, g1_file, tmp_path, text, verbose):
+    cfg, q = tmp_path / "run.cfg", tmp_path / "q.txt"
+    cfg.write_text(text)
+    q.write_text("i j\n")
+    rc, recs = run_lines(capsys, [
+        "predict", "--input", str(g1_file), "--queries", str(q), "--model", "ltlgm",
+        f"--config={cfg}"])
+    assert rc == 0
+    assert ("support" in recs[1]) is verbose
+
+
 def test_predict_rejects_unknown_model(capsys, g1_file, tmp_path):
     q = tmp_path / "q.txt"
     q.write_text("i j\n")
@@ -218,6 +262,7 @@ def test_predict_partition_file_with_unknown_node(capsys, g1_file, tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("# clusters two\n", "1: cluster count 'two' is not an integer"),
     ("# clusters 2\ni 0\nj 5\n", "3: cluster id 5 is not below K = 2"),
+    ("i 0\nj\n", "2: expected 'node cluster'"),
 ])
 def test_predict_partition_file_bad_cluster_names_line(capsys, g1_file, tmp_path, text, message):
     part = tmp_path / "part.txt"
@@ -276,6 +321,11 @@ def test_sweep_grid(capsys, planted_file):
     assert [(r["density"], r["model"]) for r in rows] == [
         (0.5, "prior"), (0.5, "ltlgm"), (1.0, "prior"), (1.0, "ltlgm")]
     assert recs[0]["config"]["models"] == ["prior", "ltlgm"]
+
+
+def test_sweep_rejects_unknown_model(capsys, planted_file):
+    assert main(["sweep", "--input", str(planted_file), "--model", "ltlgm,nope"]) == 1
+    assert capsys.readouterr().err == "error: unknown model 'nope'\n"
 
 
 def test_samples_cdf_records(capsys, planted_file):

@@ -264,6 +264,7 @@ def test_partition_read_requires_full_coverage(tmp_path):
     ("0 0\n1 1\n0 1\n", 3, "node '0' is listed twice"),
     ("# clusters two\n0 0\n1 1\n", 1, "cluster count 'two' is not an integer"),
     ("# clusters 2\n0 0\n1 5\n", 3, "cluster id 5 is not below K = 2"),
+    ("0 0\n\n1 1 1\n", 3, "expected 'node cluster'"),
 ])
 def test_partition_read_rejects_bad_lines(tmp_path, text, lineno, message):
     g = SignedGraph.from_edges(2, [(0, 1, 0)])
@@ -300,6 +301,34 @@ def test_partition_rejects_unassigned_export(tmp_path):
     part.assignment[1] = -1
     with pytest.raises(ValueError, match="unassigned"):
         write_partition(part, g, tmp_path / "bad.txt")
+
+
+def test_partition_rejects_bad_arguments():
+    g = SignedGraph.from_edges(3, [(0, 1, 0), (1, 2, 1)])
+    for asg, K, message in (([0, 0, 0], 0, "K must be >= 1"),
+                            ([0, 0], 2, "assignment length does not match node count"),
+                            ([0, 2, 0], 2, "cluster id out of range"),
+                            ([0, -1, 0], 2, "cluster id out of range")):
+        with pytest.raises(ValueError, match=message):
+            Partition(g, asg, K)
+    part = Partition(g, [0, 1, 0], 2)
+    before = [a.tobytes() for a in (part.pair_counts, part.pair_weights, part.sizes,
+                                    part.assignment)]
+    with pytest.raises(ValueError, match="target cluster out of range"):
+        part.apply_move(0, part.K)
+    with pytest.raises(ValueError, match="n_new must be >= 0"):
+        part.extend(-1)
+    assert [a.tobytes() for a in (part.pair_counts, part.pair_weights, part.sizes,
+                                  part.assignment)] == before
+    part.extend(1)
+    with pytest.raises(AssertionError, match="unassigned"):
+        part.verify_counts()
+    with pytest.raises(ValueError, match="node 0 is already assigned"):
+        part.assign_new(0, 1)
+    for cluster_id in (-1, part.K):
+        with pytest.raises(ValueError, match="cluster out of range"):
+            part.assign_new(3, cluster_id)
+    assert part.assignment.tolist() == [0, 1, 0, -1] and part.sizes.tolist() == [2, 1]
 
 
 def test_verify_counts_detects_corruption():

@@ -105,8 +105,6 @@ def test_reads_leave_graph_unchanged(g1):
                     counts.count(m, l, n, lp)
             if m == n:
                 continue
-            heads, labels = g1.out_arrays(m)
-            counts.query_counts(n, heads, labels, mirrored=True)
             for kind in MODEL_KINDS:
                 predict(kind, g1, PredictionQuery(m, n), counts=counts, cluster_counts=cc,
                         partition=part, config=cfg)

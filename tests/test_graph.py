@@ -149,6 +149,22 @@ def test_id_list_is_the_graphs_own():
     assert g.external_ids == ["x", "y", "z"] and g.node_of("z") == 2
 
 
+def test_id_list_must_match_the_node_count_and_unknown_ids_raise():
+    with pytest.raises(ValueError, match="external id list does not match node count"):
+        SignedGraph.from_edges(3, [(0, 1, 0)], external_ids=["a", "b"])
+    g = SignedGraph.from_edges(2, [(0, 1, 0)], external_ids=["a", "b"])
+    with pytest.raises(KeyError, match="unknown node id 'c'"):
+        g.node_of("c")
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    p = tmp_path / "blank.txt"
+    p.write_text("\na b +1\n   \n\nb c -1\n\n")
+    g, _ = load_edge_list(p)
+    assert [(g.external_of(s), g.external_of(d), l) for s, d, l in g.edges()] == [
+        ("a", "b", 0), ("b", "c", 1)]
+
+
 def test_tail_sets_match_oracle(g1):
     t_any, t_lab = oracles.tail_sets(G1_EDGES, 6, 2)
     for u in range(6):
@@ -193,6 +209,12 @@ def test_context_only_edge_to_receiver():
 def test_context_rejects_self_query(g1):
     with pytest.raises(ValueError):
         context_of(g1, PredictionQuery(I, I))
+
+
+def test_context_rejects_nodes_out_of_range(g1):
+    for i, j in ((I, 6), (6, J), (-1, J)):
+        with pytest.raises(ValueError, match="query node out of range"):
+            context_of(g1, PredictionQuery(i, j))
 
 
 def test_context_matches_oracle(g1):

@@ -15,7 +15,7 @@ import pytest
 
 from linklabel import (ANY, MODEL_KINDS, ClusterCounts, CooccurrenceCounts, Partition,
                        PredictionQuery, SmoothingConfig, apply_edge_batch,
-                       build_precomputed_nam, generate_planted, predict)
+                       build_precomputed_nam, generate_planted, predict, predict_many)
 
 from linklabel import counts as counts_module
 from linklabel.counts import NodeCountStore
@@ -270,3 +270,46 @@ def test_predict_from_store_equals_on_demand(config):
                     _same_answer(predict(kind, g, q, counts=counts, cluster_counts=cc,
                                          partition=part, config=config,
                                          collect_support=True), want)
+
+
+@pytest.mark.parametrize("lambda_mode", ["support", "paper"])
+def test_predict_many_reads_a_stream_updated_store(monkeypatch, lambda_mode):
+    # After a batch of relabels and new nodes, predict_many given the store
+    # reads it, building no block table, and answers every query as predict
+    # does with the store and with on-demand counts, and as predict_many does
+    # without counts, bit for bit.
+    def no_table(graph, block):
+        raise AssertionError("a block table was built")
+
+    config = SmoothingConfig(mu=1.5, lambda_mode=lambda_mode, lcgm_floor_alpha=0.5)
+    for seed, L in ((5, 2), (6, 3)):
+        rng = np.random.default_rng(seed)
+        n = 24
+        g = graph_from(random_edge_list(rng, n, L, edge_prob=0.22), n, L)
+        part = Partition.from_random(g, 3, rng)
+        store, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+        ext = g.external_ids
+        batch = [(ext[s], ext[d], (l + 1) % L) for s, d, l in list(g.edges())[::4]]
+        batch += [("new", ext[0], 0), (ext[1], "new", L - 1), ("newer", "new", 1),
+                  (ext[2], "newer", 0)]
+        g, report = apply_edge_batch(store, cc, g, batch)
+        assert report.relabeled > 10 and report.new_nodes == 2
+        on_demand = CooccurrenceCounts.on_demand(g)
+        i, j = np.nonzero(~np.eye(g.node_count, dtype=bool))
+        args = dict(cluster_counts=cc, partition=part, config=config)
+        for kind in MODEL_KINDS:
+            with monkeypatch.context() as m:
+                m.setattr(counts_module, "block_table", no_table)
+                probs, defined = predict_many(kind, g, i, j, counts=store, **args)
+            want, want_defined = predict_many(kind, g, i, j, **args)
+            assert probs.tobytes() == want.tobytes()
+            assert np.array_equal(defined, want_defined)
+            assert defined.any()
+            sample = rng.choice(i.size, size=120, replace=False).tolist()
+            for q in sample + [i.size - 1, i.size - 2]:        # the last two: from "newer"
+                query = PredictionQuery(int(i[q]), int(j[q]))
+                for counts in (store, on_demand):
+                    got = predict(kind, g, query, counts=counts, **args)
+                    assert got.defined == defined[q]
+                    if got.defined:
+                        assert got.probs.tobytes() == probs[q].tobytes()

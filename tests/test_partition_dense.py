@@ -142,6 +142,21 @@ def test_batch_with_new_nodes_matches_dict_partition():
     assert dense.graph is new_g
 
 
+def test_new_node_whose_only_batch_edge_goes_to_a_later_new_node_joins_the_largest_cluster():
+    # When "a" is placed, its one edge leads to "b", not yet placed: no edge
+    # scores a cluster, so "a" joins the largest one, the lower id on a tie.
+    g, _ = generate_planted(40, 3, 0.2, 0.1, seed=6)
+    asg = np.repeat([0, 1, 2], [10, 15, 15])
+    part = Partition(g, asg, 3)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    new_g, report = apply_edge_batch(counts, cc, g, [("a", "b", 0), ("b", g.external_of(0), 1)])
+    assert report.new_node_ids == ["a", "b"]
+    assert part.assignment[new_g.node_of("a")] == 1
+    part.verify_counts()
+    assert counts.table == build_precomputed_nam(new_g).table
+    assert cc.table == ClusterCounts.from_partition(new_g, part).table
+
+
 def test_add_edge_count_is_all_or_nothing():
     g, _ = generate_planted(40, 3, 0.2, 0.1, seed=1)
     part = Partition.from_random(g, 3, np.random.default_rng(0))
@@ -247,6 +262,25 @@ def test_apply_move_alone_and_after_another_nodes_move():
                 _move_both(dense, ref, u, int(rng.integers(K)))
             _move_both(dense, ref, v, int(rng.integers(K)))
         dense.verify_counts()
+
+
+def test_apply_move_to_its_own_cluster_visits_nothing(monkeypatch):
+    g, _ = generate_planted(60, 3, 0.2, 0.1, seed=5)
+    part = Partition(g, np.arange(g.node_count) % 3, 3)
+
+    def state():
+        return [a.tobytes() for a in (part.pair_counts, part.pair_weights, part.sizes,
+                                      part.assignment)]
+
+    before = state()
+
+    def visit(node):
+        raise AssertionError(f"node {node} visited")
+
+    monkeypatch.setattr(part, "_visit", visit)
+    for v in range(g.node_count):
+        part.apply_move(v, int(part.assignment[v]))
+    assert state() == before
 
 
 def test_apply_move_after_a_streamed_batch():

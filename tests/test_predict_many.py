@@ -224,6 +224,9 @@ def test_predict_many_validates():
         predict_many("ltlgm", g, [2], [2])
     with pytest.raises(ValueError, match="out of range"):
         predict_many("ltlgm", g, [0], [n])
+    for i, j in (([0, 1], [2]), ([[0, 1]], [[2, 3]])):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            predict_many("ltlgm", g, i, j)
     other = graph_from([(0, 1, 0)], n)
     with pytest.raises(ValueError, match="same graph"):
         predict_many("ltlgm", g, [0], [1], counts=CooccurrenceCounts.on_demand(other))

@@ -62,6 +62,24 @@ def _pair_weights(counts, table: np.ndarray) -> np.ndarray:
     return w
 
 
+def _neighbour_index(g: SignedGraph, K: int):
+    """Per node v, ``ends[ptr[2v]:ptr[2v + 2]]``: its heads, then from
+    ``ptr[2v + 1]`` its tails in in-index order, each with its (side,
+    label) offset l*K or (L + l)*K in ``offs``; scattered, not sorted."""
+    out_ptr, heads, labels, in_ptr, tails = g.csr()
+    n, E, L = g.node_count, heads.size, g.alphabet.size
+    in_slot = np.repeat(np.arange(n * L), np.diff(in_ptr))
+    ptr = np.empty(2 * n + 1, dtype=np.int64)
+    ptr[0::2] = out_ptr + in_ptr[::L]
+    ptr[1::2] = out_ptr[1:] + in_ptr[:-1:L]
+    at_out = np.arange(E) + in_ptr[g.edge_arrays[0] * L]
+    at_in = np.arange(E) + out_ptr[in_slot // L + 1]
+    ends, offs = np.empty(2 * E, np.int64), np.empty(2 * E, np.min_scalar_type(2 * L * K))
+    ends[at_out], ends[at_in] = heads, tails
+    offs[at_out], offs[at_in] = labels * K, (L + in_slot % L) * K
+    return ptr, ends, offs
+
+
 #: One scored visit: per candidate b, ``deltas[b]`` and the flat pairs
 #: ``cell[b]`` a move to b changes, with their ``new`` counts and ``weights``.
 _Visit = namedtuple("_Visit", "node deltas cell new weights")
@@ -163,23 +181,9 @@ class Partition:
     # -- node moves ----------------------------------------------------------
 
     def _neighbours(self):
-        """Per node v, ``ends[ptr[2v]:ptr[2v + 2]]``: its heads, then from
-        ``ptr[2v + 1]`` its tails in in-index order, each with its (side,
-        label) offset l*K or (L + l)*K in ``offs``; scattered, not sorted."""
-        g, K, L = self.graph, self.K, self._L
-        if self._index_graph is not g:
-            out_ptr, heads, labels, in_ptr, tails = g.csr()
-            n, E = g.node_count, heads.size
-            in_slot = np.repeat(np.arange(n * L), np.diff(in_ptr))
-            ptr = np.empty(2 * n + 1, dtype=np.int64)
-            ptr[0::2] = out_ptr + in_ptr[::L]
-            ptr[1::2] = out_ptr[1:] + in_ptr[:-1:L]
-            at_out = np.arange(E) + in_ptr[g.edge_arrays[0] * L]
-            at_in = np.arange(E) + out_ptr[in_slot // L + 1]
-            ends, offs = np.empty(2 * E, np.int64), np.empty(2 * E, np.min_scalar_type(2 * L * K))
-            ends[at_out], ends[at_in] = heads, tails
-            offs[at_out], offs[at_in] = labels * K, (L + in_slot % L) * K
-            self._index, self._index_graph = (ptr, ends, offs), g
+        """The graph's ``_neighbour_index``, built on first use after the graph changes."""
+        if self._index_graph is not self.graph:
+            self._index, self._index_graph = _neighbour_index(self.graph, self.K), self.graph
         return self._index
 
     def _visit(self, node: int) -> "_Visit":
@@ -374,20 +378,23 @@ def cluster(graph: SignedGraph, config: ClusterConfig):
     """Search for a low-entropy partition; returns (Partition, trace).
 
     Each restart draws its own initial uniform assignment and its own sweep
-    randomness from default_rng([seed, restart]); the restart with the lowest
-    final phi wins (earliest on exact ties). The trace of the winning restart
-    lists one (sweep_index, phi, moves) triple per sweep, sweep 0 being the
-    initial state. Sweeping stops at max_sweeps, on a moveless greedy sweep,
-    or when the relative phi change falls below early_stop_rel_tol (if set).
+    randomness from default_rng([seed, restart]); all read one neighbour
+    index (``_neighbour_index``), built once per call. The restart with
+    the lowest final phi wins (earliest on exact ties). The trace of
+    the winning restart lists one (sweep_index, phi, moves) triple per
+    sweep, sweep 0 being the initial state. Sweeping stops at max_sweeps,
+    on a moveless greedy sweep, or when the relative phi change falls below
+    early_stop_rel_tol (if set).
 
     Raises:
         ValueError: invalid config, or K > node_count.
     """
     config.validate(node_count=graph.node_count)
-    best = None
+    best, index = None, _neighbour_index(graph, config.K)
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
         part = Partition.from_random(graph, config.K, rng)
+        part._index, part._index_graph = index, graph
         phi = part.objective()
         trace = [(0, phi, 0)]
         prev = phi

@@ -168,11 +168,12 @@ class NodeCountStore:
         codes, deltas = codes[~hit], deltas[~hit]
         if not codes.size:
             return
-        pos, hit = _find(self.pending_codes, codes)
-        self.pending_vals[pos[hit]] += deltas[hit]
-        at = np.searchsorted(self.pending_codes, codes[~hit])
-        self.pending_codes = np.insert(self.pending_codes, at, codes[~hit])
-        self.pending_vals = np.insert(self.pending_vals, at, deltas[~hit])
+        at = np.searchsorted(self.pending_codes, codes)
+        hit = at < self.pending_codes.size
+        hit[hit] = self.pending_codes[at[hit]] == codes[hit]
+        self.pending_vals[at[hit]] += deltas[hit]
+        self.pending_codes, self.pending_vals = _interleave(
+            [self.pending_codes, self.pending_vals, codes[~hit], deltas[~hit]], at[~hit])
         if self.pending_codes.size > self.codes.size * MERGE_FRACTION:
             runs = [self.codes, self.vals, self.pending_codes, self.pending_vals]
             self.codes = self.vals = self.pending_codes = self.pending_vals = None
@@ -202,24 +203,31 @@ def _code_radix(node_count: int) -> int:
     return 1 << max(node_count - 1, 0).bit_length()
 
 
-def _merge_runs(runs):
-    """The nonzero entries of the sorted runs ``[codes, counts, pending codes, pending counts]``.
+def _interleave(runs, at):
+    """The sorted runs ``[codes, counts, other codes, other counts]`` as one,
+    zeros kept; ``at`` is ``searchsorted(codes, other codes)``.
 
-    Pending entry i lands at ``searchsorted(codes, pending)[i] + i`` of the
-    merged order. Each output array is written once, at the merged size,
-    through one mask, and each input leaves ``runs`` once copied, so one
-    held nowhere else is freed then; zeros are then dropped, if any.
+    Other entry i lands at ``at[i] + i`` of the merged order. Each output
+    array is written once, at the merged size, through one mask, and each
+    input leaves ``runs`` once copied, so one held nowhere else is freed then.
     """
     size = runs[0].size + runs[2].size
-    from_pending = np.zeros(size, dtype=bool)
-    from_pending[np.searchsorted(runs[0], runs[2]) + np.arange(runs[2].size)] = True
-    from_main = ~from_pending
+    from_other = np.zeros(size, dtype=bool)
+    from_other[at + np.arange(runs[2].size)] = True
+    from_main = ~from_other
     out = []
     for i in (0, 1):
         out.append(np.empty(size, dtype=np.int64))
         out[i][from_main] = runs[i]
-        out[i][from_pending] = runs[i + 2]
+        out[i][from_other] = runs[i + 2]
         runs[i] = runs[i + 2] = None
+    return out
+
+
+def _merge_runs(runs):
+    """The nonzero entries of the sorted runs ``[codes, counts, pending codes,
+    pending counts]`` (``_interleave``); zeros are dropped, if any."""
+    out = _interleave(runs, np.searchsorted(runs[0], runs[2]))
     keep = out[1] != 0
     if not keep.all():
         for i in (0, 1):
@@ -397,33 +405,45 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
 
 # -- batched node-level evidence -----------------------------------------------
 
-#: Budget of one receiver block of ``context_evidence``: the ordered
-#: (in-tail, out-edge) pairs it enumerates and the cells of its count table.
-#: Only a block that holds a single receiver may exceed either.
+#: Budget of one receiver block of ``context_evidence`` read from the
+#: graph: the ordered (in-tail, out-edge) pairs it enumerates and the cells
+#: of its count table; read from a store: the out-edges of its queries'
+#: initiators, a bound on the context entries it looks up. Only a block
+#: that holds a single receiver may exceed one.
 BLOCK_PAIRS = 4096
 BLOCK_CELLS = 16384
+BLOCK_ENTRIES = 16384
 
 
-def receiver_blocks(graph: SignedGraph, receivers) -> list:
+def receiver_blocks(graph: SignedGraph, receivers, initiators=None) -> list:
     """Split the distinct receivers, ascending, into consecutive blocks.
 
-    A block enumerates sum(outdeg(w)) pairs over the in-tails w of its
-    receivers and allocates ``len(block) * n * L**2`` table cells; both stay
-    within BLOCK_PAIRS and BLOCK_CELLS unless the block holds one receiver.
+    Without ``initiators`` a block is sized for its ``block_table``: it
+    enumerates sum(outdeg(w)) pairs over the in-tails w of its receivers
+    and allocates ``len(block) * n * L**2`` table cells, within BLOCK_PAIRS
+    and BLOCK_CELLS. With the queries' ``initiators`` (aligned with
+    ``receivers``) it is sized for a store lookup: the out-degrees of the
+    initiators of its queries sum to at most BLOCK_ENTRIES. A block of one
+    receiver may exceed these bounds.
     """
     out_ptr, _, _, in_ptr, in_tails = graph.csr()
     n, L = graph.node_count, graph.alphabet.size
-    receivers = np.unique(np.asarray(receivers, dtype=np.int64))
-    t, k = _ranges(in_ptr[receivers * L], in_ptr[(receivers + 1) * L])
-    pairs = np.bincount(k, np.diff(out_ptr)[in_tails[t]], receivers.size).astype(np.int64)
-    per_block = max(1, BLOCK_CELLS // max(1, n * L * L))
-    blocks, cur, cur_pairs = [], [], 0
-    for r, p in zip(receivers.tolist(), pairs.tolist()):
-        if cur and (cur_pairs + p > BLOCK_PAIRS or len(cur) == per_block):
+    queried = np.asarray(receivers, dtype=np.int64)
+    receivers = np.unique(queried)
+    if initiators is None:
+        t, k = _ranges(in_ptr[receivers * L], in_ptr[(receivers + 1) * L])
+        cost = np.bincount(k, np.diff(out_ptr)[in_tails[t]], receivers.size)
+        budget, per_block = BLOCK_PAIRS, max(1, BLOCK_CELLS // max(1, n * L * L))
+    else:
+        cost = np.bincount(queried, np.diff(out_ptr)[initiators], n)[receivers]
+        budget, per_block = BLOCK_ENTRIES, receivers.size
+    blocks, cur, cur_cost = [], [], 0
+    for r, c in zip(receivers.tolist(), cost.astype(np.int64).tolist()):
+        if cur and (cur_cost + c > budget or len(cur) == per_block):
             blocks.append(np.array(cur, dtype=np.int64))
-            cur, cur_pairs = [], 0
+            cur, cur_cost = [], 0
         cur.append(r)
-        cur_pairs += p
+        cur_cost += c
     if cur:
         blocks.append(np.array(cur, dtype=np.int64))
     return blocks
@@ -511,8 +531,9 @@ def context_evidence(counts: CooccurrenceCounts, initiators, receivers,
     Query q is ``initiators[q] -> receivers[q]`` on ``counts.graph``; its
     context is that of ``context_of``. The counts are read from ``counts``
     through ``node_evidence``, a block at a time, so a store or the graph
-    serves them. At node level ANY counts are sums over labels, so count(j,
-    ANY, x, l_x) is ``num.sum(axis=1)``. ``mirrored`` None reads no counts,
+    serves them; ``receiver_blocks`` sizes the blocks for the one that
+    does. At node level ANY counts are sums over labels, so count(j, ANY,
+    x, l_x) is ``num.sum(axis=1)``. ``mirrored`` None reads no counts,
     False ``num`` alone, True ``num`` and the mirrored counts.
     """
     graph = counts.graph
@@ -521,7 +542,8 @@ def context_evidence(counts: CooccurrenceCounts, initiators, receivers,
     out_ptr, heads, labels, _, _ = graph.csr()
     order = np.argsort(receivers, kind="stable")
     by_receiver = receivers[order]
-    for block in receiver_blocks(graph, receivers):
+    store = counts.store
+    for block in receiver_blocks(graph, receivers, None if store is None else initiators):
         lo = np.searchsorted(by_receiver, block[0], side="left")
         hi = np.searchsorted(by_receiver, block[-1], side="right")
         q = order[lo:hi]
@@ -534,7 +556,7 @@ def context_evidence(counts: CooccurrenceCounts, initiators, receivers,
         x, lx = heads[e], labels[e]
         num = mir = None
         if mirrored is not None:
-            num, mir = node_evidence(graph, counts.store, block,
+            num, mir = node_evidence(graph, store, block,
                                      np.searchsorted(block, j[row]), x, lx, mirrored)
         yield EvidenceBlock(q, sizes, row, position, x, lx, num, mir)
 

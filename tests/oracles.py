@@ -320,3 +320,39 @@ def balanced_accuracy(truths, preds, n_labels):
         hit = sum(1 for t, p in zip(truths, preds) if t == c and p == c)
         tprs.append(hit / total)
     return sum(tprs) / len(tprs)
+
+
+def read_edge_lines(path, tokens, nodes=None):
+    """Reference edge-list reader: one line at a time, as the file iterates.
+
+    Same contract as ``linklabel.graph.read_edge_lines``: the ``(src ids,
+    dst ids, labels)`` lists of the data lines, ``# node <id>`` lines
+    registered into ``nodes``, and the first bad line's error.
+    """
+    from linklabel.graph import EdgeListParseError
+
+    node_comment = "# node "
+    src, dst, lbl = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if nodes is not None and line.startswith(node_comment):
+                    name = line[len(node_comment):].strip()
+                    if name:
+                        nodes.add(name)
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise EdgeListParseError(
+                    f"{path}:{lineno}: expected 'src dst sign', got {len(parts)} fields")
+            try:
+                lbl.append(tokens[parts[2]])
+            except KeyError:
+                raise EdgeListParseError(
+                    f"{path}:{lineno}: unknown sign token {parts[2]!r}") from None
+            src.append(parts[0])
+            dst.append(parts[1])
+    return src, dst, lbl

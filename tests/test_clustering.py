@@ -207,6 +207,18 @@ def test_more_restarts_never_worse():
     assert phi3 <= phi1 + 1e-9
 
 
+def test_restarts_share_one_neighbour_index():
+    g, _ = generate_planted(60, 3, 0.15, 0.2, seed=9)
+    reads = []
+    csr = g.csr
+    g.csr = lambda: reads.append(1) or csr()    # the index build is the run's one reader
+    part, _ = cluster(g, ClusterConfig(K=3, restarts=3, seed=4))
+    assert len(reads) == 1
+    del g.csr
+    assert part.objective() == cluster(g, ClusterConfig(K=3, restarts=3, seed=4))[0].objective()
+    part.verify_counts()
+
+
 def test_trace_final_matches_partition():
     g, _ = generate_planted(40, 2, 0.2, 0.3, seed=6)
     part, trace = cluster(g, ClusterConfig(K=2, restarts=2, seed=1))

@@ -1,5 +1,7 @@
 """Graph construction, parsing, normalization, synthesis and context."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from linklabel import (
     write_edge_list,
 )
 
+import linklabel.graph as graph_mod
 from conftest import G1_EDGES, I, J, random_graph
 import oracles
 
@@ -128,6 +131,164 @@ def test_roundtrip_keeps_edge_free_nodes(tmp_path):
     g2, _ = load_edge_list(p)
     assert g2.node_count == 3 and g2.has_node("c")
     assert g2.content_digest() == g.content_digest()
+
+
+# -- the bulk reader against the line-by-line reference -------------------------
+
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+IDS = ["a", "b", "n7", "x#y", "#", "é", "日本", "\U0001F600", "\U00010348z", "a\x00b", "\x00", "0"]
+SIGNS = ["+", "-", "1", "-1", "+1", "?", "++", "#"]
+
+
+def random_edge_text(rng) -> str:
+    """A short edge-list text mixing every line kind, separator and newline the grammar meets."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def gap(least=1):
+        return "".join(pick(SEPARATORS) for _ in range(int(rng.integers(least, 3))))
+
+    lines = []
+    for _ in range(int(rng.integers(0, 10))):
+        r = rng.random()
+        if r < 0.1:
+            line = gap(0)
+        elif r < 0.2:
+            line = pick(["#", "#x", "# a b c", "##", "#\x00"]) + gap(0) + pick(IDS)
+        elif r < 0.32:
+            line = pick(["# node ", "# node", "# node\t", "#node ", "# node  "]) + pick(
+                ["", pick(IDS), pick(IDS) + gap() + pick(IDS)])
+        else:
+            fields = 3 if rng.random() < 0.93 else int(rng.integers(1, 6))
+            words = [pick(IDS) for _ in range(fields)]
+            if fields >= 3:
+                words[2] = pick(SIGNS) if rng.random() < 0.08 else pick(SIGNS[:5])
+            line = gap().join(words)
+        lines.append(gap(0) + line + gap(0) if rng.random() < 0.3 else line)
+    text = "".join(line + pick(["\n", "\r\n", "\r"]) for line in lines)
+    return text[:-1] if text and rng.random() < 0.3 else text
+
+
+def outcome(read, path, tokens, nodes):
+    try:
+        return read(path, tokens, nodes), nodes
+    except EdgeListParseError as exc:
+        return "error", str(exc)
+
+
+def test_read_edge_lines_matches_the_reference_reader(tmp_path, monkeypatch):
+    tokens = LoadOptions().resolved_tokens()
+    p = tmp_path / "edges.txt"
+    rng = np.random.default_rng(20)
+    errors = 0
+    for _ in range(2500):
+        p.write_bytes(random_edge_text(rng).encode("utf-8"))
+        # Small blocks put block ends inside lines and between "\r" and "\n".
+        monkeypatch.setattr(graph_mod, "READ_BLOCK", int(rng.choice([1, 2, 7, 1 << 16])))
+        for nodes in (None, set()):
+            want = outcome(oracles.read_edge_lines, p, tokens, None if nodes is None else set())
+            assert outcome(graph_mod.read_edge_lines, p, tokens, nodes) == want
+        errors += want[0] == "error"
+        try:
+            got = load_edge_list(p)
+        except EdgeListParseError as exc:
+            got = str(exc)
+        with monkeypatch.context() as m:
+            m.setattr(graph_mod, "read_edge_lines", oracles.read_edge_lines)
+            try:
+                want = load_edge_list(p)
+            except EdgeListParseError as exc:
+                want = str(exc)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        (g, report), (g_want, report_want) = got, want
+        assert g.external_ids == g_want.external_ids
+        assert g.content_digest() == g_want.content_digest()
+        assert all(np.array_equal(a, b) for a, b in zip(g.csr(), g_want.csr()))
+        assert vars(report).keys() == vars(report_want).keys()
+        for name, value in vars(report).items():
+            assert np.array_equal(value, getattr(report_want, name)), name
+    assert 300 < errors < 2200       # both outcomes are well covered
+
+
+@pytest.mark.parametrize("text, want", [
+    ("", ([], [], [])),
+    ("\n\n", ([], [], [])),
+    ("a b +", (["a"], ["b"], [0])),
+    ("a\u3000b\x85-\r\nc\x1cd\x1f1\rx#y # +1", (["a", "c", "x#y"], ["b", "d", "#"], [1, 0, 0])),
+    (" #a b +\n\t# node  z \n", ([], [], [])),
+    ("a b\x00 +\n", (["a"], ["b\x00"], [0])),
+])
+def test_read_edge_lines_cases(tmp_path, text, want):
+    p = tmp_path / "e.txt"
+    p.write_bytes(text.encode("utf-8"))
+    nodes = set()
+    assert graph_mod.read_edge_lines(p, LoadOptions().resolved_tokens(), nodes) == want
+    assert nodes == ({"z"} if "node" in text else set())
+
+
+def test_read_edge_lines_first_bad_line_wins(tmp_path):
+    tokens = LoadOptions().resolved_tokens()
+    p = tmp_path / "e.txt"
+    p.write_text("a b +\n# c\na b ?\na b\n")
+    with pytest.raises(EdgeListParseError, match=r"e\.txt:3: unknown sign token '\?'"):
+        graph_mod.read_edge_lines(p, tokens)
+    p.write_text("a b +\n# c\na b c d\na b ?\n")
+    with pytest.raises(EdgeListParseError, match=r"e\.txt:3: expected .* got 4 fields"):
+        graph_mod.read_edge_lines(p, tokens)
+
+
+def test_read_edge_lines_counts_lines_of_256_words_and_more(tmp_path):
+    # 259 words would pass for 3 in a count that wraps at 256.
+    tokens = LoadOptions().resolved_tokens()
+    p = tmp_path / "e.txt"
+    p.write_text("# " + "w " * 300 + "\na b +\n" + "x " * 258 + "+\n")
+    with pytest.raises(EdgeListParseError, match=r"e\.txt:3: expected .* got 259 fields"):
+        graph_mod.read_edge_lines(p, tokens)
+    p.write_text("# " + "w " * 300 + "\na b +\n")
+    assert graph_mod.read_edge_lines(p, tokens) == (["a"], ["b"], [0])
+
+
+def test_read_edge_lines_decodes_before_parsing(tmp_path):
+    # A block is decoded before it is parsed, so bad UTF-8 raises before a
+    # bad line above it in the same block.
+    p = tmp_path / "e.txt"
+    p.write_bytes(b"a b\nc d +\n\xff e +\n")
+    with pytest.raises(UnicodeDecodeError) as info:
+        graph_mod.read_edge_lines(p, LoadOptions().resolved_tokens())
+    assert info.value.start == 10
+
+
+def test_space_table_is_str_isspace():
+    assert sorted(map(ord, graph_mod.SPACES)) == [
+        c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def lexsort_in_index(g):
+    """(in_ptr, in_tails) built as before: one three-key ``lexsort``."""
+    src, dst, lbl = g.edge_arrays
+    n, L = g.node_count, g.alphabet.size
+    order = np.lexsort((src, lbl, dst))
+    return np.searchsorted(dst[order] * L + lbl[order], np.arange(n * L + 1)), src[order]
+
+
+@pytest.mark.parametrize("n_labels", [2, 3])
+def test_in_index_equals_the_lexsort_reference(n_labels):
+    rng = np.random.default_rng(n_labels)
+    graphs = [SignedGraph.from_edges(0, [], LabelAlphabet("xyz"[:n_labels]), []),
+              SignedGraph.from_edges(4, [], LabelAlphabet("xyz"[:n_labels]))]
+    for seed in range(20):
+        n = int(rng.integers(2, 60))
+        # Sparse graphs leave some nodes isolated.
+        graphs.append(random_graph(seed, n=n, n_labels=n_labels,
+                                   edge_prob=float(rng.choice([0.01, 0.05, 0.3])))[0])
+    for g in graphs:
+        _, _, _, in_ptr, in_tails = g.csr()
+        want_ptr, want_tails = lexsort_in_index(g)
+        assert in_ptr.dtype == want_ptr.dtype and in_tails.dtype == want_tails.dtype
+        assert np.array_equal(in_ptr, want_ptr) and np.array_equal(in_tails, want_tails)
+    assert any(g.edge_count and np.any(np.diff(g.csr()[3][::n_labels]) == 0) for g in graphs)
 
 
 # -- normalization and views ---------------------------------------------------

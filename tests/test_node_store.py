@@ -19,6 +19,7 @@ from linklabel import (ANY, MODEL_KINDS, ClusterCounts, CooccurrenceCounts, Part
 
 from linklabel import counts as counts_module
 from linklabel.counts import NodeCountStore
+from linklabel.predictors import LOCAL_KINDS
 
 from conftest import graph_from, random_batch, random_edge_list
 import oracles
@@ -313,3 +314,29 @@ def test_predict_many_reads_a_stream_updated_store(monkeypatch, lambda_mode):
                     assert got.defined == defined[q]
                     if got.defined:
                         assert got.probs.tobytes() == probs[q].tobytes()
+
+
+def test_store_blocks_are_sized_by_context_entries(monkeypatch):
+    # With a store no block table is built, so its cell cap does not cut the
+    # receivers: one store lookup serves the queries of many receivers, and
+    # the answers equal predict's bit for bit.
+    g, _ = generate_planted(60, 3, 0.2, 0.1, seed=8)
+    n, L = g.node_count, g.alphabet.size
+    store = build_precomputed_nam(g)
+    part = Partition.from_random(g, 3, np.random.default_rng(8))
+    args = dict(cluster_counts=ClusterCounts.from_partition(g, part), partition=part)
+    monkeypatch.setattr(counts_module, "BLOCK_CELLS", n * L * L)    # one receiver per table
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    gets = []
+    get = NodeCountStore.get
+    monkeypatch.setattr(NodeCountStore, "get", lambda self, codes: gets.append(1) or get(self, codes))
+    for kind in LOCAL_KINDS:            # the kinds that read node-level counts
+        gets.clear()
+        probs, defined = predict_many(kind, g, i, j, counts=store, **args)
+        entries = int(np.diff(g.csr()[0])[i].sum())
+        assert len(gets) <= 2 * entries / counts_module.BLOCK_ENTRIES + 1 < n / 4
+        for q in range(0, i.size, 7):
+            got = predict(kind, g, PredictionQuery(int(i[q]), int(j[q])), counts=store, **args)
+            assert got.defined == defined[q]
+            if got.defined:
+                assert got.probs.tobytes() == probs[q].tobytes()

@@ -148,8 +148,8 @@ class Partition:
         """Shift many (cluster pair, label) counts at once; all or nothing.
 
         Counts and weights come out bit-identical to one shift per entry,
-        in any order: each touched pair's weight is recomputed once, from
-        its final counts.
+        in any order: each touched pair's weight is recomputed from its
+        final counts, once per entry that touches it.
         """
         K, L = self.K, self._L
         c, d, label, delta = (np.asarray(a, dtype=np.int64) for a in (c, d, label, delta))
@@ -164,8 +164,7 @@ class Partition:
             raise ValueError(f"pair count for {(i, j)} label {l} went negative")
         self.pair_counts[...] = counts
         self._edges += int(delta.sum())
-        tc, td = np.divmod(np.unique(c * K + d), K)
-        self.pair_weights[tc, td] = _pair_weights(counts[tc, td].T, _xlog2x(self._edges))
+        self.pair_weights[c, d] = _pair_weights(counts[c, d].T, _xlog2x(self._edges))
 
     def _ordered_deltas(self, cell, change, skip, added: int = 0):
         """Per candidate (grid row), the objective change of shifting the

@@ -17,26 +17,26 @@ reproduces the ANY count. At cluster level that identity does NOT hold: a
 single node can carry several labels into the same cluster, so ANY is a
 genuine union, never a sum.
 
-Every on-demand count is an entry of a co-citation product, count(j, l, x,
-l') = (A_l^T A_l')[j, x] with A_l the adjacency matrix restricted to label
-l, so one pass over the CSR arrays per block of receivers yields the counts
-of every context entry of every query into those receivers
-(``block_table``). One reader, ``node_evidence``, serves every node-level
-read for both count strategies: the counts of the context entries of a
-block of receivers, from a store with one lookup, else gathered from the
-block's ``block_table``. ``context_evidence`` reads it for many queries at
-once, a receiver block at a time; ``predict`` reads one query, and
-``count`` one count, with a block of one receiver.
+Every node-level count is an entry of a co-citation product, count(j, l,
+x, l') = (A_l^T A_l')[j, x] with A_l the adjacency matrix restricted to
+label l. One kernel, ``_copointing``, enumerates its units by label-split
+in-row j * L + l: each in-edge w -> j labeled l with each out-edge of w.
+``block_table`` runs it over a block of receivers, the store build over all
+n * L in-rows. One reader, ``node_evidence``, serves every node-level read
+for both count strategies, from a store with one lookup, else gathered from
+the block's ``block_table``; a mirrored count is read by symmetry, count(x,
+l', j, l) = count(j, l, x, l'). ``context_evidence`` reads it a receiver
+block at a time; ``predict`` and ``count`` with a block of one receiver.
 
 The precomputed node-level store (``NodeCountStore``) holds concrete keys
 only, (m, l, n, lp) with both labels real, as sorted ``int64`` codes
 ((m * L + l) * R + n) * L + lp for N nodes, with the code radix R the
 power of two >= N, and ``int64`` counts: 16 bytes per entry. Every ANY
-count is derived by summing over labels, exact at node level. It is
-built in one vectorized pass over every tail's ordered out-edge pairs
-(``_pair_codes``, then ``np.unique``) and read with ``searchsorted``;
-``CooccurrenceCounts.table`` shows it as a read-only mapping over all
-four key families. A stream batch touches only the
+count is derived by summing over labels, exact at node level. The build
+encodes the kernel's pairs in place, sorts them in place and counts them by
+run starts (``_run_starts``); reads use ``searchsorted``, and
+``CooccurrenceCounts.table`` shows the store as a read-only mapping over
+all four key families. A stream batch touches only the
 ordered out-edge pairs that hold a changed edge (``_pairs_through``), so
 its cost is O(out-degree) per changed edge, not O(out-degree^2) per
 changed tail: counts of keys already present change in place and new keys
@@ -44,7 +44,7 @@ go into a small sorted pending run, which every read also searches and
 which is merged into the main run only when it outgrows a fixed fraction
 of it (the log-structured merge of O'Neil et al., Acta
 Informatica 33, 1996). On the 2,000-node, 34k-edge serve-stream graph the
-store holds 0.57M entries (9 MB) after a ~0.04 s build and 0.78M after 315
+store holds 0.57M entries (9 MB) after a ~0.02 s build and 0.78M after 315
 stream batches.
 
 The cluster table is one dense ``int64`` array (K, K, L + 1, K, L + 1), ANY
@@ -91,13 +91,19 @@ class BudgetExceededError(RuntimeError):
             f"(override=True, or --nam-override)")
 
 
+def _run_starts(run):
+    """Index of the first entry of each run of equal values in the sorted ``run``."""
+    start = np.empty(run.size, dtype=bool)      # no sentinel: exact for any values, and empty
+    start[:1] = True
+    np.not_equal(run[1:], run[:-1], out=start[1:])
+    return np.flatnonzero(start)
+
+
 def _sum_by_code(codes, vals):
     """The distinct ``codes``, sorted, with the sum of ``vals`` at each."""
-    if not codes.size:
-        return codes, vals
     order = np.argsort(codes, kind="stable")
     codes, vals = codes[order], vals[order]
-    start = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    start = _run_starts(codes)
     return codes[start], np.add.reduceat(vals, start)
 
 
@@ -107,11 +113,6 @@ def _find(run, codes):
         return np.zeros(codes.shape, dtype=np.intp), np.zeros(codes.shape, dtype=bool)
     pos = np.minimum(np.searchsorted(run, codes), run.size - 1)
     return pos, run[pos] == codes
-
-
-def _labels(l: int, L: int) -> np.ndarray:
-    """The labels a selector reads: all L for ANY, else ``l`` alone."""
-    return np.arange(L) if l == ANY else np.array([l])
 
 
 #: The pending run of a ``NodeCountStore`` is merged into its main run once
@@ -235,15 +236,21 @@ def _merge_runs(runs):
     return tuple(out)
 
 
-def _pair_codes(graph: SignedGraph, tails, R: int) -> np.ndarray:
-    """Codes (radix R) of the ordered pairs of each tail's out-edges, self-pairs included."""
-    out_ptr, heads, labels, _, _ = graph.csr()
-    L = graph.alphabet.size
-    lo, hi = out_ptr[tails], out_ptr[tails + 1]
-    a, k = _ranges(lo, hi)              # every out-edge, with its tail's index
-    b, i = _ranges(lo[k], hi[k])        # per out-edge a, every out-edge of its tail
-    a = a[i]
-    return ((heads[a] * L + labels[a]) * R + heads[b]) * L + labels[b]
+def _copointing(graph: SignedGraph, rows, radix: int) -> np.ndarray:
+    """Codes (k * radix + x) * L + lx of the co-pointing pairs of in-rows ``rows``:
+    each in-edge w -> j labeled l of ``rows[k] = j * L + l`` with each out-edge
+    w -> x labeled lx, one unit of count(j, l, x, lx). Encoded in place, so
+    each step allocates one gathered column, not a new code array."""
+    out_ptr, heads, labels, in_ptr, in_tails = graph.csr()
+    t, k = _ranges(in_ptr[rows], in_ptr[rows + 1])
+    tails = in_tails[t]
+    e, codes = _ranges(out_ptr[tails], out_ptr[tails + 1])
+    codes = k[codes]            # the row index k of each pair
+    codes *= radix
+    codes += heads[e]
+    codes *= graph.alphabet.size
+    codes += labels[e]
+    return codes
 
 
 def _pairs_through(graph: SignedGraph, tails, heads, labels, R: int):
@@ -366,21 +373,22 @@ class CooccurrenceCounts:
 
 def projected_pair_cost(graph: SignedGraph) -> int:
     """sum(out_degree^2): the exact number of ordered out-edge pairs enumerated."""
-    src, _, _ = graph.edge_arrays
-    deg = np.bincount(src, minlength=graph.node_count)
-    return int(np.sum(deg.astype(np.int64) ** 2))
+    deg = np.diff(graph.csr()[0])
+    return int(np.sum(deg * deg))
 
 
 def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
                           override: bool = False) -> CooccurrenceCounts:
-    """Build the node-level count store in one vectorized pass over tails.
+    """Build the node-level count store in one vectorized pass over in-rows.
 
-    Every tail's ordered out-edge pairs (self-pairs included) are encoded
-    with ``_pair_codes`` and counted with one ``np.unique``: the store holds
-    concrete keys only, 16 bytes each, and derives every ANY count by
-    summing over labels. The enumeration cost is sum(out_degree^2), which
-    is reported on the result and guarded by ``budget``. At 2,000 nodes and
-    34k edges (0.57M entries) the build takes about 0.04 s on a 2-vCPU Xeon.
+    The co-pointing pairs of all n * L in-rows (``_copointing``, the kernel
+    of ``block_table``) are encoded as store codes in place, sorted in place
+    and counted by run starts: the store holds concrete keys only, 16 bytes
+    each, and derives every ANY count by summing over labels. The cost is
+    sum(out_degree^2) pairs, reported on the result and guarded by
+    ``budget``. At 2,000 nodes and 34k edges (0.57M entries) the build takes
+    ~0.02 s on a 2-vCPU Xeon; at 40k edges (0.78M) ~0.03 s, with a
+    ``tracemalloc`` peak of 32 MB.
 
     Args:
         graph: the graph to index.
@@ -396,10 +404,11 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     cost = projected_pair_cost(graph)
     if cost > budget and not override:
         raise BudgetExceededError(cost, budget)
-    n = graph.node_count
-    codes, vals = np.unique(_pair_codes(graph, np.arange(n), _code_radix(n)),
-                            return_counts=True)
-    store = NodeCountStore(n, graph.alphabet.size, codes, vals.astype(np.int64))
+    n, L = graph.node_count, graph.alphabet.size
+    codes = _copointing(graph, np.arange(n * L), _code_radix(n))
+    codes.sort()
+    start = _run_starts(codes)
+    store = NodeCountStore(n, L, codes[start], np.diff(start, append=codes.size))
     return CooccurrenceCounts(graph, store, projected_pair_cost=cost)
 
 
@@ -429,7 +438,8 @@ def receiver_blocks(graph: SignedGraph, receivers, initiators=None) -> list:
     out_ptr, _, _, in_ptr, in_tails = graph.csr()
     n, L = graph.node_count, graph.alphabet.size
     queried = np.asarray(receivers, dtype=np.int64)
-    receivers = np.unique(queried)
+    receivers = np.sort(queried)
+    receivers = receivers[_run_starts(receivers)]
     if initiators is None:
         t, k = _ranges(in_ptr[receivers * L], in_ptr[(receivers + 1) * L])
         cost = np.bincount(k, np.diff(out_ptr)[in_tails[t]], receivers.size)
@@ -452,17 +462,11 @@ def receiver_blocks(graph: SignedGraph, receivers, initiators=None) -> list:
 def block_table(graph: SignedGraph, block: np.ndarray) -> np.ndarray:
     """Co-pointing counts of a receiver block: ``T[b, l, x, lp] = count(block[b], l, x, lp)``.
 
-    The label-split in-tails of the block's receivers are expanded through
-    their out-edges and counted with one ``np.bincount`` of n * L**2 cells
-    per receiver.
-    """
-    out_ptr, heads, labels, in_ptr, in_tails = graph.csr()
+    The co-pointing pairs of the block's in-rows (``_copointing``) are
+    counted with one ``np.bincount`` of n * L**2 cells per receiver."""
     n, L = graph.node_count, graph.alphabet.size
     rows = (block[:, None] * L + np.arange(L)).ravel()        # row b * L + l
-    t, row = _ranges(in_ptr[rows], in_ptr[rows + 1])
-    tails = in_tails[t]
-    e, k = _ranges(out_ptr[tails], out_ptr[tails + 1])
-    key = (row[k] * n + heads[e]) * L + labels[e]
+    key = _copointing(graph, rows, n)
     return np.bincount(key, minlength=rows.size * n * L).reshape(block.size, L, n, L)
 
 
@@ -472,24 +476,20 @@ def node_evidence(graph: SignedGraph, store: Optional[NodeCountStore], block: np
 
     ``num[e, l] = count(block[b_e], l, x_e, lx_e)`` and, if ``mirrored``,
     ``mir[e, l] = count(x_e, ANY, block[b_e], l)`` (else None); ``b`` is an
-    index array, or one index for one receiver. With a ``store`` they come
-    from one ``get`` of its codes. Without one they are gathered from the
-    block's ``block_table`` on ``graph``: ``mir[e, l] = T[b_e, l, x_e,
-    :].sum()``, summed after the gather so that no step reduces the whole
-    table.
-    """
+    index array, or one index for one receiver. Both are read by symmetry,
+    count(x, l2, j, l) = count(j, l, x, l2), from the (l, l2) grid of (j, x):
+    ``mir[e, l] = grid[e, l, :].sum()``, summed after the gather so that no
+    step reduces a whole table. With a ``store`` the grid (``num`` alone if
+    not ``mirrored``) is one ``get`` of its codes; without one it is
+    gathered from the block's ``block_table`` on ``graph``."""
     if store is None:
         table = block_table(graph, block)
         return table[b, :, x, lx], (table[b, :, x].sum(axis=-1) if mirrored else None)
-    m, L, lab = x.size, store.L, np.arange(store.L)
-    j = block[b, None]
-    codes = store.encode(j, lab, x[:, None], lx[:, None]).ravel()
-    if mirrored:        # [e, l2, l]: count(x_e, l2, j_e, l), summed over l2
-        mirror = store.encode(x[:, None, None], lab[:, None], j[..., None], lab).ravel()
-        codes = np.concatenate((codes, mirror))
-    got = store.get(codes)
-    mir = got[m * L:].reshape(m, L, L).sum(axis=1) if mirrored else None
-    return got[:m * L].reshape(m, L), mir
+    lab, j = np.arange(store.L), block[b, None]
+    if not mirrored:
+        return store.get(store.encode(j, lab, x[:, None], lx[:, None])), None
+    grid = store.get(store.encode(j[..., None], lab[:, None], x[:, None, None], lab))
+    return grid[np.arange(x.size), :, lx], grid.sum(axis=-1)
 
 
 def _count(graph, store, N: int, L: int, key) -> int:
@@ -499,9 +499,9 @@ def _count(graph, store, N: int, L: int, key) -> int:
     m, l, n, lp = map(operator.index, key)
     if not (0 <= m < N and 0 <= n < N and ANY <= l < L and ANY <= lp < L):
         return 0
-    lps = _labels(lp, L)
-    num, _ = node_evidence(graph, store, np.array([m]), 0, np.full(lps.size, n), lps, False)
-    return int(num[:, _labels(l, L)].sum())
+    num, _ = node_evidence(graph, store, np.array([m]), 0, np.full(L, n), np.arange(L), False)
+    whole = slice(None)             # num[lp, l] = count(m, l, n, lp)
+    return int(num[whole if lp == ANY else lp, whole if l == ANY else l].sum())
 
 
 @dataclass
@@ -825,7 +825,8 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     # Phase 2, before any write: the node store's delta, the ordered
     # out-edge pairs through a gained edge minus those through a lost one,
     # encoded with the radix the store has once it holds n_new nodes.
-    tails = np.unique(b_src[changed])
+    tails = np.sort(b_src[changed])
+    tails = tails[_run_starts(tails)]
     if counts.store is not None:
         R = _code_radix(n_new)
         gained, g_sign = _pairs_through(new_graph, b_src[changed], b_dst[changed],

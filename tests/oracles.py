@@ -82,6 +82,18 @@ def nam_table(edges, n):
     return table
 
 
+def pair_codes(edges, n, n_labels):
+    """The node store's code of every ordered pair of each tail's out-edges,
+    self-pairs included, once per tail: pair ((m, l), (x, lx)) has the code
+    ((m * L + l) * R + x) * L + lx, with R the power of two >= n.
+
+    Counting equal codes gives the store's concrete counts count(m, l, x, lx).
+    """
+    L, R = n_labels, 1 << max(n - 1, 0).bit_length()
+    return [((m * L + l) * R + x) * L + lx
+            for outs in out_edges(edges, n).values() for m, l in outs for x, lx in outs]
+
+
 def cam_table(edges, assignment, n):
     """The cluster-level count table as a dict, keys (s, m, l, n, lp), -1 = any label.
 

@@ -56,6 +56,45 @@ def test_build_matches_dict_oracle(L):
         assert counts.store.pending_codes.size == 0
 
 
+def _pair_code_cases():
+    cases = [graph_from(random_edge_list(np.random.default_rng(seed), 12, L, 0.25), 12, L)
+             for L in (2, 3) for seed in range(3)]
+    return cases + [graph_from([], 5, 2),                                   # edgeless
+                    graph_from([(0, 1, 0), (1, 0, 1), (0, 2, 1)], 7, 3),    # isolated 3..6
+                    graph_from([], 1, 3)]                                   # one node
+
+
+@pytest.mark.parametrize("g", _pair_code_cases(),
+                         ids=[f"random{i}" for i in range(6)] + ["edgeless", "isolated", "one"])
+def test_store_and_block_tables_equal_the_pair_code_reference(g):
+    n, L = g.node_count, g.alphabet.size
+    counts, on_demand = build_precomputed_nam(g), CooccurrenceCounts.on_demand(g)
+    codes, vals = np.unique(np.array(oracles.pair_codes(list(g.edges()), n, L), dtype=np.int64),
+                            return_counts=True)
+    assert np.array_equal(counts.store.codes, codes)
+    assert np.array_equal(counts.store.vals, vals)
+    ml, xlx = np.divmod(codes, counts.store.R * L)
+    dense = np.zeros((n, L, n, L), dtype=np.int64)
+    dense[ml // L, ml % L, xlx // L, xlx % L] = vals
+    for j in range(n):
+        assert np.array_equal(counts_module.block_table(g, np.array([j]))[0], dense[j])
+    assert np.array_equal(counts_module.block_table(g, np.arange(n)), dense)
+    if not g.edge_count:
+        keys = [(m, l, x, lx) for m in range(n) for x in range(n)
+                for l in range(ANY, L) for lx in range(ANY, L)]
+        assert all(c.count(*k) == 0 for c in (counts, on_demand) for k in keys)
+        assert len(counts.table) == 0
+    part = Partition.from_assignment(g, np.arange(n) % 2, 2)
+    cc = ClusterCounts.from_partition(g, part)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    args = dict(cluster_counts=cc, partition=part)
+    for kind in [k for k in MODEL_KINDS if k != "prior"]:      # the prior reads no counts
+        probs, defined = predict_many(kind, g, i, j, counts=counts, **args)
+        want, want_defined = predict_many(kind, g, i, j, counts=on_demand, **args)
+        assert probs.tobytes() == want.tobytes()
+        assert np.array_equal(defined, want_defined)
+
+
 @pytest.mark.parametrize("L", [2, 3])
 def test_stream_matches_dict_oracle_after_every_batch(L):
     rng = np.random.default_rng(40 + L)

@@ -29,23 +29,24 @@ l', j, l) = count(j, l, x, l'). ``context_evidence`` reads it a receiver
 block at a time; ``predict`` and ``count`` with a block of one receiver.
 
 The precomputed node-level store (``NodeCountStore``) holds concrete keys
-only, (m, l, n, lp) with both labels real, as sorted ``int64`` codes
-((m * L + l) * R + n) * L + lp for N nodes, with the code radix R the
-power of two >= N, and ``int64`` counts: 16 bytes per entry. Every ANY
-count is derived by summing over labels, exact at node level. The build
-encodes the kernel's pairs in place, sorts them in place and counts them by
-run starts (``_run_starts``); reads use ``searchsorted``, and
+only, (m, l, n, lp) with both labels real, and each once with its mirror
+(n, lp, m, l): for the in-rows a = m * L + l and b = n * L + lp it keeps
+the sorted ``int64`` code min(a, b) * R * L + max(a, b) for N nodes, with
+the code radix R the power of two >= N, and an ``int64`` count: 16 bytes
+per entry, about half the ordered keys. Every ANY count is derived by
+summing over labels, exact at node level. The build enumerates each
+unordered pair once, encodes the pairs in place, sorts them in place and
+counts them by run starts (``_run_starts``); reads use ``searchsorted``, and
 ``CooccurrenceCounts.table`` shows the store as a read-only mapping over
-all four key families. A stream batch touches only the
-ordered out-edge pairs that hold a changed edge (``_pairs_through``), so
-its cost is O(out-degree) per changed edge, not O(out-degree^2) per
-changed tail: counts of keys already present change in place and new keys
-go into a small sorted pending run, which every read also searches and
-which is merged into the main run only when it outgrows a fixed fraction
-of it (the log-structured merge of O'Neil et al., Acta
-Informatica 33, 1996). On the 2,000-node, 34k-edge serve-stream graph the
-store holds 0.57M entries (9 MB) after a ~0.02 s build and 0.78M after 315
-stream batches.
+all four key families. A stream batch touches only the out-edge pairs
+that hold a changed edge (``_pairs_through``), so its cost is
+O(out-degree) per changed edge, not O(out-degree^2) per changed tail:
+counts of keys already present change in place and new keys go into a
+small sorted pending run, which every read also searches and which is
+merged into the main run only when it outgrows a fixed fraction of it (the
+log-structured merge of O'Neil et al., Acta Informatica 33, 1996). On the
+2,000-node, 34k-edge serve-stream graph the store holds 0.29M entries
+(4.6 MB) after a ~0.013 s build and 0.39M after 315 stream batches.
 
 The cluster table is one dense ``int64`` array (K, K, L + 1, K, L + 1), ANY
 at label index 0. A node's 0/1 incidence row (``_incidence_rows``) marks
@@ -123,9 +124,11 @@ MERGE_FRACTION = 1 / 32
 class NodeCountStore:
     """Concrete node-level counts as sorted ``int64`` codes with ``int64`` counts.
 
-    The key (m, l, n, lp), labels real, has the code ((m * L + l) * R + n) *
-    L + lp for N nodes and the code radix R = ``_code_radix(N)``, the power
-    of two >= N, so code order is key order. ``renumber`` takes added nodes
+    The key (m, l, n, lp), labels real, and its mirror (n, lp, m, l) share
+    one entry, as count(m, l, n, lp) = count(n, lp, m, l): with a = m * L + l
+    and b = n * L + lp its code is min(a, b) * R * L + max(a, b) for N nodes
+    and the code radix R = ``_code_radix(N)``, the power of two >= N, so code
+    order is the order of the keys with a <= b. ``renumber`` takes added nodes
     and re-encodes only when they outgrow R: a stream re-encodes O(log n)
     times. Entries live in two sorted runs that
     never share a code: the main run, and a small pending run that takes
@@ -147,8 +150,10 @@ class NodeCountStore:
                                       self.pending_codes, self.pending_vals))
 
     def encode(self, m, l, n, lp):
-        """Codes of the concrete keys (m, l, n, lp), broadcast over arrays."""
-        return ((np.asarray(m, dtype=np.int64) * self.L + l) * self.R + n) * self.L + lp
+        """Codes of the concrete keys (m, l, n, lp), broadcast over arrays; a key
+        and its mirror (n, lp, m, l) share one code (``_pair_code``)."""
+        a = np.asarray(m, dtype=np.int64) * self.L + l
+        return _pair_code(a, np.asarray(n, dtype=np.int64) * self.L + lp, self.R * self.L)
 
     def get(self, codes) -> np.ndarray:
         """The counts at ``codes``, 0 where absent."""
@@ -183,7 +188,8 @@ class NodeCountStore:
             self.merges += 1
 
     def nonzero(self):
-        """(codes, counts) of the nonzero entries of both runs, sorted."""
+        """(codes, counts) of the nonzero entries of both runs, sorted: one per
+        unordered pair, the keys with m * L + l <= n * L + lp."""
         return _merge_runs([self.codes, self.vals, self.pending_codes, self.pending_vals])
 
     def renumber(self, node_count: int) -> None:
@@ -197,6 +203,11 @@ class NodeCountStore:
                 q, r = np.divmod(getattr(self, name), old)
                 setattr(self, name, q * (R * self.L) + r)
         self.N, self.R = int(node_count), R
+
+
+def _pair_code(a, b, RL: int):
+    """The store code of the in-rows ``a``, ``b`` in either order: min * RL + max."""
+    return np.minimum(a, b) * RL + np.maximum(a, b)
 
 
 def _code_radix(node_count: int) -> int:
@@ -236,15 +247,16 @@ def _merge_runs(runs):
     return tuple(out)
 
 
-def _copointing(graph: SignedGraph, rows, radix: int) -> np.ndarray:
+def _copointing(graph: SignedGraph, rows, radix: int, first=None) -> np.ndarray:
     """Codes (k * radix + x) * L + lx of the co-pointing pairs of in-rows ``rows``:
     each in-edge w -> j labeled l of ``rows[k] = j * L + l`` with each out-edge
-    w -> x labeled lx, one unit of count(j, l, x, lx). Encoded in place, so
-    each step allocates one gathered column, not a new code array."""
+    w -> x labeled lx, one unit of count(j, l, x, lx). With ``first``, in-edge
+    t of the in-index pairs only with w's out-edges from ``first[t]`` on. Encoded
+    in place, so each step allocates one gathered column, not a new code array."""
     out_ptr, heads, labels, in_ptr, in_tails = graph.csr()
     t, k = _ranges(in_ptr[rows], in_ptr[rows + 1])
     tails = in_tails[t]
-    e, codes = _ranges(out_ptr[tails], out_ptr[tails + 1])
+    e, codes = _ranges(out_ptr[tails] if first is None else first[t], out_ptr[tails + 1])
     codes = k[codes]            # the row index k of each pair
     codes *= radix
     codes += heads[e]
@@ -254,24 +266,24 @@ def _copointing(graph: SignedGraph, rows, radix: int) -> np.ndarray:
 
 
 def _pairs_through(graph: SignedGraph, tails, heads, labels, R: int):
-    """Codes (radix R) and signs of the ordered out-edge pairs through some edges.
+    """Store codes (radix R) and signs of the out-edge pairs through some edges.
 
     The edges ``(tails[k], heads[k], labels[k])`` are out-edges of
-    ``graph``. For a tail with out-edges S, X of them given, the pairs
-    that hold an edge of X are S x X + X x S - X x X; they are returned
-    with signs +1, +1 and -1. The cost is O(out-degree) per given edge.
+    ``graph``. For a tail with out-edges S, X of them given, each unordered
+    pair that holds an edge of X is returned once, as S x X (+1 each) less
+    the pairs x_i, x_j with i < j of X (-1 each), which S x X holds twice.
+    The cost is O(out-degree) per given edge.
     """
     out_ptr, h, lab, _, _ = graph.csr()
     L = graph.alphabet.size
     order = np.argsort(tails, kind="stable")
     tails = tails[order]
-    x = heads[order] * L + labels[order]        # code = first * R * L + second
+    x = heads[order] * L + labels[order]        # in-row of each given edge
     e, k = _ranges(out_ptr[tails], out_ptr[tails + 1])
-    s, xk = h[e] * L + lab[e], x[k]
-    j, i = _ranges(np.searchsorted(tails, tails), np.searchsorted(tails, tails, side="right"))
-    RL = R * L
-    codes = np.concatenate((s * RL + xk, xk * RL + s, x[i] * RL + x[j]))
-    return codes, np.repeat([1, 1, -1], [s.size, s.size, j.size])
+    j, i = _ranges(np.arange(1, tails.size + 1), np.searchsorted(tails, tails, side="right"))
+    codes = _pair_code(np.concatenate((h[e] * L + lab[e], x[i])),
+                       np.concatenate((x[k], x[j])), R * L)
+    return codes, np.repeat([1, -1], [k.size, j.size])
 
 
 class _CountView(Mapping):
@@ -308,8 +320,9 @@ class NodeTableView(_CountView):
     """Read-only ``(m, l, n, lp) -> count`` mapping of a precomputed store.
 
     It holds the nonzero counts of all four key families, ANY = -1
-    included, and nothing else. Each iteration rebuilds the ANY families
-    from the store, so it costs a sort of four times the concrete entries.
+    included, and nothing else. Each iteration mirrors the store's
+    off-diagonal entries and rebuilds the ANY families from them, so it
+    costs a sort of four times the ordered concrete keys.
     """
 
     def __init__(self, store: NodeCountStore):
@@ -324,6 +337,9 @@ class NodeTableView(_CountView):
         R, L, L1 = st.R, st.L, st.L + 1
         codes, vals = st.nonzero()
         ml, nlp = np.divmod(codes, R * L)
+        off = ml != nlp                             # a mirror key of its own
+        ml, nlp, vals = (np.concatenate(p) for p in ((ml, nlp[off]), (nlp, ml[off]),
+                                                     (vals, vals[off])))
         m, l = np.divmod(ml, L)
         n, lp = np.divmod(nlp, L)
         full = np.concatenate([((m * L1 + a) * R + n) * L1 + b
@@ -342,7 +358,7 @@ class CooccurrenceCounts:
     """Node-pair co-pointing counts, read from a store or from the graph.
 
     ``build_precomputed_nam`` gives one that holds a ``NodeCountStore``
-    (every tail's ordered out-edge pairs, counted once), which stream
+    (every tail's out-edge pairs, each unordered pair once), which stream
     updates keep current; ``table`` is its read-only mapping view.
     ``on_demand`` gives one without a store (``table`` None): each read
     counts the co-pointers of one node with ``block_table`` on the graph,
@@ -372,7 +388,8 @@ class CooccurrenceCounts:
 
 
 def projected_pair_cost(graph: SignedGraph) -> int:
-    """sum(out_degree^2): the exact number of ordered out-edge pairs enumerated."""
+    """sum(out_degree^2), the ordered out-edge pairs: the cost that ``budget``
+    bounds. The build enumerates sum(d (d + 1) / 2), each unordered pair once."""
     deg = np.diff(graph.csr()[0])
     return int(np.sum(deg * deg))
 
@@ -383,12 +400,14 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
 
     The co-pointing pairs of all n * L in-rows (``_copointing``, the kernel
     of ``block_table``) are encoded as store codes in place, sorted in place
-    and counted by run starts: the store holds concrete keys only, 16 bytes
-    each, and derives every ANY count by summing over labels. The cost is
-    sum(out_degree^2) pairs, reported on the result and guarded by
-    ``budget``. At 2,000 nodes and 34k edges (0.57M entries) the build takes
-    ~0.02 s on a 2-vCPU Xeon; at 40k edges (0.78M) ~0.03 s, with a
-    ``tracemalloc`` peak of 32 MB.
+    and counted by run starts: the store holds concrete keys only, each
+    unordered pair once, 16 bytes each. Each in-edge w -> j pairs only with
+    w's out-edges from w -> j on (out-edges are sorted by head), found by one
+    ``argsort`` of the in-index keys: sum(d (d + 1) / 2) pairs.
+    ``projected_pair_cost`` is reported on the result and guarded by
+    ``budget``. At 2,000 nodes and 34k edges (0.29M entries) the build takes
+    ~0.013 s on a 2-vCPU Xeon, with a ``tracemalloc`` peak of 11.5 MB; at
+    40k edges (0.39M) ~0.017 s and 15.6 MB.
 
     Args:
         graph: the graph to index.
@@ -405,7 +424,9 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     if cost > budget and not override:
         raise BudgetExceededError(cost, budget)
     n, L = graph.node_count, graph.alphabet.size
-    codes = _copointing(graph, np.arange(n * L), _code_radix(n))
+    src, dst, lbl = graph.edge_arrays
+    first = np.argsort((dst * L + lbl) * n + src)       # out-edge of each in-index entry
+    codes = _copointing(graph, np.arange(n * L), _code_radix(n), first)
     codes.sort()
     start = _run_starts(codes)
     store = NodeCountStore(n, L, codes[start], np.diff(start, append=codes.size))
@@ -737,12 +758,12 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     (largest cluster when edge-free).
 
     The merged graph costs O(edges) in array copies, with no sort. The
-    node store's delta is, in one vectorized pass, the ordered out-edge
-    pairs through a gained edge (in the new graph) minus those through a
-    lost one (in the old graph): O(out-degree) per changed edge, so a hub
-    tail costs no more than its degree. It changes present keys in place
-    and adds new keys to the store's pending run, which is merged into the
-    main run now and then (``NodeCountStore``).
+    node store's delta is, in one vectorized pass, the out-edge pairs
+    through a gained edge (in the new graph) minus those through a lost
+    one (in the old graph), each unordered pair once: O(out-degree) per
+    changed edge, so a hub tail costs no more than its degree. It changes
+    present keys in place and adds new keys to the store's pending run,
+    which is merged into the main run now and then (``NodeCountStore``).
     The cluster table adds the sparse D.T @ N + O.T @ D of the changed
     tails' incidence rows in the new (N) and the old (O) graph, D = N - O,
     as two scatters: O(out-degree + K (L + 1)) per changed (tail, column).
@@ -822,7 +843,7 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     report.relabeled = int(relabel.sum())
     report.added = int(changed.sum()) - report.relabeled
 
-    # Phase 2, before any write: the node store's delta, the ordered
+    # Phase 2, before any write: the node store's delta, the unordered
     # out-edge pairs through a gained edge minus those through a lost one,
     # encoded with the radix the store has once it holds n_new nodes.
     tails = np.sort(b_src[changed])

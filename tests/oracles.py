@@ -82,16 +82,19 @@ def nam_table(edges, n):
     return table
 
 
-def pair_codes(edges, n, n_labels):
-    """The node store's code of every ordered pair of each tail's out-edges,
-    self-pairs included, once per tail: pair ((m, l), (x, lx)) has the code
+def pair_codes(edges, n, n_labels, upper=False):
+    """The code of every ordered pair of each tail's out-edges, self-pairs
+    included, once per tail: pair ((m, l), (x, lx)) has the code
     ((m * L + l) * R + x) * L + lx, with R the power of two >= n.
 
-    Counting equal codes gives the store's concrete counts count(m, l, x, lx).
+    Counting equal codes gives the concrete counts count(m, l, x, lx). With
+    ``upper`` only the pairs with (m, l) <= (x, lx) are emitted: the node
+    store's codes, one per unordered pair.
     """
     L, R = n_labels, 1 << max(n - 1, 0).bit_length()
     return [((m * L + l) * R + x) * L + lx
-            for outs in out_edges(edges, n).values() for m, l in outs for x, lx in outs]
+            for outs in out_edges(edges, n).values() for m, l in outs for x, lx in outs
+            if not upper or (m, l) <= (x, lx)]
 
 
 def cam_table(edges, assignment, n):

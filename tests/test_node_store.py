@@ -8,6 +8,7 @@ and on-demand counting exactly, after a build and after every batch of a
 stream.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,13 @@ def _any_keys(table):
     return {k for k in table if ANY in (k[1], k[3])}
 
 
+def _stored(table):
+    """The (key, count) items a store holds: concrete keys with (m, l) <= (x, lx),
+    one per unordered pair, sorted."""
+    return sorted((k, v) for k, v in table.items()
+                  if ANY not in (k[1], k[3]) and k[:2] <= k[2:])
+
+
 def _assert_table_is(counts, oracle):
     view = counts.table
     assert dict(view) == oracle                  # keys, then one lookup per key
@@ -51,8 +59,7 @@ def test_build_matches_dict_oracle(L):
         counts = build_precomputed_nam(g)
         oracle = _oracle(g)
         _assert_table_is(counts, oracle)
-        concrete = [k for k in oracle if k[1] != ANY and k[3] != ANY]
-        assert counts.store.codes.size == len(concrete)
+        assert counts.store.codes.size == len(_stored(oracle))
         assert counts.store.pending_codes.size == 0
 
 
@@ -69,10 +76,12 @@ def _pair_code_cases():
 def test_store_and_block_tables_equal_the_pair_code_reference(g):
     n, L = g.node_count, g.alphabet.size
     counts, on_demand = build_precomputed_nam(g), CooccurrenceCounts.on_demand(g)
-    codes, vals = np.unique(np.array(oracles.pair_codes(list(g.edges()), n, L), dtype=np.int64),
-                            return_counts=True)
+    codes, vals = np.unique(np.array(oracles.pair_codes(list(g.edges()), n, L, upper=True),
+                                     dtype=np.int64), return_counts=True)
     assert np.array_equal(counts.store.codes, codes)
     assert np.array_equal(counts.store.vals, vals)
+    codes, vals = np.unique(np.array(oracles.pair_codes(list(g.edges()), n, L), dtype=np.int64),
+                            return_counts=True)
     ml, xlx = np.divmod(codes, counts.store.R * L)
     dense = np.zeros((n, L, n, L), dtype=np.int64)
     dense[ml // L, ml % L, xlx // L, xlx % L] = vals
@@ -153,7 +162,7 @@ def test_stream_across_the_code_radix(monkeypatch):
         assert (store.codes is not before) == regrow
         oracle = _oracle(g)
         _assert_table_is(counts, oracle)
-        concrete = sorted((k, v) for k, v in oracle.items() if ANY not in (k[1], k[3]))
+        concrete = _stored(oracle)
         codes, vals = store.nonzero()
         keys = np.array([k for k, _ in concrete], dtype=np.int64).reshape(-1, 4).T
         assert np.array_equal(codes, store.encode(*keys))
@@ -188,7 +197,7 @@ def test_forced_merges_equal_the_dict_build(monkeypatch):
     for _ in range(30):
         merges = store.merges
         g, _ = apply_edge_batch(counts, cc, g, random_batch(rng, g, L, fresh))
-        want = sorted((k, v) for k, v in _oracle(g).items() if ANY not in (k[1], k[3]))
+        want = _stored(_oracle(g))
         codes = store.encode(*np.array([k for k, _ in want], dtype=np.int64).reshape(-1, 4).T)
         vals = np.array([v for _, v in want], dtype=np.int64)
         for c, v in (store.nonzero(), (store.codes[store.vals != 0], store.vals[store.vals != 0])):
@@ -197,6 +206,57 @@ def test_forced_merges_equal_the_dict_build(monkeypatch):
         if store.merges > merges:
             assert np.array_equal(store.codes, codes) and np.array_equal(store.vals, vals)
     assert store.merges >= 10
+
+
+def _assert_canonical(store):
+    for run in (store.codes, store.pending_codes):
+        a, b = np.divmod(run, store.R * store.L)         # in-rows m * L + l, x * L + lx
+        assert (a <= b).all()
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1e9], ids=["merge_always", "merge_never"])
+def test_every_stored_code_is_canonical(monkeypatch, fraction):
+    # The store keeps each unordered pair once, under the code with a <= b:
+    # after a build and after every batch of a stream that crosses the code
+    # radix, whether each batch merges its runs or none does. Every batch
+    # also gives one tail several new edges while relabeling one of its
+    # edges, so its delta holds pairs of two changed edges.
+    monkeypatch.setattr(counts_module, "MERGE_FRACTION", fraction)
+    rng = np.random.default_rng(13)
+    n, L = 7, 2
+    g = graph_from(random_edge_list(rng, n, L, edge_prob=0.4), n, L)
+    part = Partition.from_random(g, 3, rng)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    store, fresh = counts.store, [0]
+    _assert_canonical(store)
+    for _ in range(25):
+        ext, edges = g.external_ids, g.edge_map()
+        u, v = next((s, d) for s, d in edges if len(g.out_arrays(s)[0]) < g.node_count - 3)
+        batch = random_batch(rng, g, L, fresh) + [(ext[u], ext[v], 1 - edges[(u, v)])]
+        batch += [(ext[u], ext[x], int(rng.integers(L))) for x in range(g.node_count)
+                  if x != u and (u, x) not in edges][:3]
+        g, _ = apply_edge_batch(counts, cc, g, batch)
+        _assert_canonical(store)
+        want = build_precomputed_nam(g).store
+        assert all(np.array_equal(a, b) for a, b in zip(store.nonzero(), (want.codes, want.vals)))
+    assert store.R == 32 and (store.merges >= 20 if fraction == 0.0 else store.merges == 0)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_counts_are_symmetric_and_equal_on_demand(L):
+    # count(m, l, x, lx) = count(x, lx, m, l) for every key, ANY labels and
+    # the diagonal m = x included, read from the store and counted on demand.
+    rng = np.random.default_rng(20 + L)
+    n = 9
+    g = graph_from(random_edge_list(rng, n, L, edge_prob=0.35), n, L)
+    counts, on_demand = build_precomputed_nam(g), CooccurrenceCounts.on_demand(g)
+    oracle, labels, seen = _oracle(g), range(ANY, L), 0
+    for m, l, x, lx in itertools.product(range(n), labels, range(n), labels):
+        c = counts.count(m, l, x, lx)
+        assert c == counts.count(x, lx, m, l) == on_demand.count(m, l, x, lx)
+        assert c == on_demand.count(x, lx, m, l) == oracle.get((m, l, x, lx), 0)
+        seen += c > 0 and m == x
+    assert seen > 0
 
 
 def test_merge_drops_zeros_of_both_runs(monkeypatch):
@@ -268,8 +328,13 @@ def test_store_holds_at_most_16_bytes_per_entry():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # The store keeps each unordered pair once: (ordered + diagonal) / 2 entries.
+    dense = counts_module.block_table(g, np.arange(g.node_count))
+    ordered = np.count_nonzero(dense)
+    diagonal = np.count_nonzero(np.einsum("ilil->il", dense))
     entries = counts.store.nonzero()[0].size
-    assert entries > 100_000
+    assert ordered > 100_000
+    assert 2 * entries == ordered + diagonal
     assert counts.store.nbytes <= 16 * entries
     assert held <= 16 * entries + 65_536
 

@@ -115,13 +115,12 @@ class SignedGraph:
     never mutated after construction: counts and predictions read the CSR
     arrays and cache nothing on the graph (only the external-id dict is
     built lazily, on the first id lookup).
-    The out-pointers are one ``searchsorted``, the in-index one sort
+    The out-pointers are one ``searchsorted`` and the in-index one sort
     of the unique keys ``(dst * L + label) * n + src`` over all edges
-    (~0.8 ms at 40k edges, a sixth of a three-key ``lexsort``) and the
-    per-label edge counts one ``bincount``, unless ``index`` gives all four
-    prebuilt as ``(out_ptr, in_ptr, in_tails, label counts)``, as
-    ``splice_edges`` does; only then is ``external_ids`` kept as given, a
-    fresh list, not copied.
+    (~0.8 ms at 40k edges, a sixth of a three-key ``lexsort``), unless
+    ``index`` gives all three prebuilt as ``(out_ptr, in_ptr,
+    in_tails)``, as ``splice_edges`` does; only then is ``external_ids``
+    kept as given, a fresh list, not copied.
     """
 
     def __init__(self, node_count, src, dst, lbl, alphabet, external_ids, index=None):
@@ -140,9 +139,8 @@ class SignedGraph:
 
         n, L = self.node_count, alphabet.size
         if index is not None:
-            self._out_ptr, self._inl_ptr, self._inl_src, self._label_counts = index
+            self._out_ptr, self._inl_ptr, self._inl_src = index
             return
-        self._label_counts = np.bincount(self._lbl, minlength=L)
         self._out_ptr = np.searchsorted(self._src, np.arange(n + 1))
 
         # In-adjacency split by label, sorted by (dst, label, src): one sort
@@ -191,8 +189,7 @@ class SignedGraph:
         is each pair's label before, or -1.
         Copies of both sorted edge orders are spliced, not re-sorted: added
         pairs are inserted, a relabel overwrites the out-edge label and
-        moves the in-index entry to its new label slice. The label counts
-        take the batch's entering and leaving labels, O(batch + L).
+        moves the in-index entry to its new label slice.
         """
         n, L, grow = self.node_count + len(new_ids), self.alphabet.size, len(new_ids)
         out_ptr = np.concatenate((self._out_ptr, np.full(grow, self.edge_count)))
@@ -221,10 +218,7 @@ class SignedGraph:
                           b_src[enter][order])
         in_ptr[1:] += (np.bincount(in_slots, minlength=n * L)
                        - np.bincount(out_slots, minlength=n * L)).cumsum()
-        label_counts = (self._label_counts + np.bincount(b_lbl[enter], minlength=L)
-                        - np.bincount(old[leave], minlength=L))
-        return self._successor(new_ids, src, dst, lbl,
-                               (out_ptr, in_ptr, tails, label_counts)), old
+        return self._successor(new_ids, src, dst, lbl, (out_ptr, in_ptr, tails)), old
 
     def _successor(self, new_ids, src, dst, lbl, index=None) -> "SignedGraph":
         """A graph over these nodes plus ``new_ids``; with none it shares the id list and dict."""
@@ -295,8 +289,7 @@ class SignedGraph:
         return {(s, d): l for s, d, l in self.edges()}
 
     def label_counts(self) -> np.ndarray:
-        """Edges per label, a copy of the counts kept since construction: O(L)."""
-        return self._label_counts.copy()
+        return np.bincount(self._lbl, minlength=self.alphabet.size)
 
     def content_digest(self) -> str:
         """Stable digest over the dense structure, for artifact provenance."""

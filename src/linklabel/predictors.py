@@ -138,7 +138,7 @@ class SmoothingConfig:
 
 
 def class_prior(graph: SignedGraph) -> LabelDistribution:
-    """Empirical label distribution of the graph's edges, O(L) from its label counts."""
+    """Empirical label distribution of the graph's edges."""
     if graph.edge_count == 0:
         raise ValueError("class prior needs at least one edge")
     return LabelDistribution.from_probs(graph.label_counts() / graph.edge_count)

@@ -31,9 +31,11 @@ block at a time; ``predict`` and ``count`` with a block of one receiver.
 The precomputed node-level store (``NodeCountStore``) holds concrete keys
 only, (m, l, n, lp) with both labels real, and each once with its mirror
 (n, lp, m, l): for the in-rows a = m * L + l and b = n * L + lp it keeps
-the sorted ``int64`` code min(a, b) * R * L + max(a, b) for N nodes, with
-the code radix R the power of two >= N, and an ``int64`` count: 16 bytes
-per entry, about half the ordered keys. Every ANY count is derived by
+the sorted ``int64`` code min(a, b) * R * L + max(a, b), with the node radix
+R = ``_node_radix(L)`` fixed by the alphabet, and an ``int64`` count: 16
+bytes per entry, about half the ordered keys. A store holds at most R
+nodes, ~7.2e8 for L = 2; no node count enters a code, so a stream that adds
+nodes never re-encodes the store. Every ANY count is derived by
 summing over labels, exact at node level. The build enumerates each
 unordered pair once, encodes the pairs in place, sorts them in place and
 counts them by run starts (``_run_starts``); reads use ``searchsorted``, and
@@ -126,11 +128,9 @@ class NodeCountStore:
 
     The key (m, l, n, lp), labels real, and its mirror (n, lp, m, l) share
     one entry, as count(m, l, n, lp) = count(n, lp, m, l): with a = m * L + l
-    and b = n * L + lp its code is min(a, b) * R * L + max(a, b) for N nodes
-    and the code radix R = ``_code_radix(N)``, the power of two >= N, so code
-    order is the order of the keys with a <= b. ``renumber`` takes added nodes
-    and re-encodes only when they outgrow R: a stream re-encodes O(log n)
-    times. Entries live in two sorted runs that
+    and b = n * L + lp its code is min(a, b) * R * L + max(a, b), with the node
+    radix R = ``_node_radix(L)``, so code order is the order of the keys with
+    a <= b for any node count up to R. Entries live in two sorted runs that
     never share a code: the main run, and a small pending run that takes
     the keys a stream batch adds. A read searches both. An update changes
     present keys in place, zeros included; zeros are dropped only when the
@@ -138,8 +138,8 @@ class NodeCountStore:
     merged (``_merge_runs``, which ``nonzero`` reads through too).
     """
 
-    def __init__(self, node_count: int, L: int, codes: np.ndarray, vals: np.ndarray):
-        self.N, self.L, self.R = int(node_count), int(L), _code_radix(int(node_count))
+    def __init__(self, L: int, codes: np.ndarray, vals: np.ndarray):
+        self.L, self.R = int(L), _node_radix(int(L))
         self.codes, self.vals = codes, vals
         self.pending_codes = self.pending_vals = np.empty(0, dtype=np.int64)
         self.merges = 0
@@ -162,10 +162,6 @@ class NodeCountStore:
             pos, hit = _find(run, codes)
             out[hit] = vals[pos[hit]]
         return out
-
-    def count(self, m: int, l: int, n: int, lp: int) -> int:
-        """count(m, l, n, lp) read through ``node_evidence`` (``_count``)."""
-        return _count(None, self, self.N, self.L, (m, l, n, lp))
 
     def add(self, codes: np.ndarray, deltas: np.ndarray) -> None:
         """Add ``deltas`` at the distinct sorted ``codes``."""
@@ -192,27 +188,17 @@ class NodeCountStore:
         unordered pair, the keys with m * L + l <= n * L + lp."""
         return _merge_runs([self.codes, self.vals, self.pending_codes, self.pending_vals])
 
-    def renumber(self, node_count: int) -> None:
-        """Take ``node_count`` nodes, at least N (else ValueError, before any change);
-        codes are re-encoded, in order, only when the radix grows (``_code_radix``)."""
-        if node_count < self.N:
-            raise ValueError(f"cannot renumber {self.N} nodes to {node_count}")
-        old, R = self.R * self.L, _code_radix(int(node_count))
-        if R != self.R:
-            for name in ("codes", "pending_codes"):
-                q, r = np.divmod(getattr(self, name), old)
-                setattr(self, name, q * (R * self.L) + r)
-        self.N, self.R = int(node_count), R
-
 
 def _pair_code(a, b, RL: int):
     """The store code of the in-rows ``a``, ``b`` in either order: min * RL + max."""
     return np.minimum(a, b) * RL + np.maximum(a, b)
 
 
-def _code_radix(node_count: int) -> int:
-    """The node-store code radix for ``node_count`` nodes: the power of two >= it."""
-    return 1 << max(node_count - 1, 0).bit_length()
+def _node_radix(L: int) -> int:
+    """The node radix of store codes for ``L`` labels, and the most nodes a store
+    holds: R * (L + 1) <= 2**31, so a store code (< (R * L)**2) and a code of
+    ``NodeTableView``'s four key families (< (R * (L + 1))**2) fit in ``int64``."""
+    return (1 << 31) // (L + 1)
 
 
 def _interleave(runs, at):
@@ -265,8 +251,8 @@ def _copointing(graph: SignedGraph, rows, radix: int, first=None) -> np.ndarray:
     return codes
 
 
-def _pairs_through(graph: SignedGraph, tails, heads, labels, R: int):
-    """Store codes (radix R) and signs of the out-edge pairs through some edges.
+def _pairs_through(graph: SignedGraph, tails, heads, labels):
+    """Store codes and signs of the out-edge pairs through some edges.
 
     The edges ``(tails[k], heads[k], labels[k])`` are out-edges of
     ``graph``. For a tail with out-edges S, X of them given, each unordered
@@ -282,7 +268,7 @@ def _pairs_through(graph: SignedGraph, tails, heads, labels, R: int):
     e, k = _ranges(out_ptr[tails], out_ptr[tails + 1])
     j, i = _ranges(np.arange(1, tails.size + 1), np.searchsorted(tails, tails, side="right"))
     codes = _pair_code(np.concatenate((h[e] * L + lab[e], x[i])),
-                       np.concatenate((x[k], x[j])), R * L)
+                       np.concatenate((x[k], x[j])), _node_radix(L) * L)
     return codes, np.repeat([1, -1], [k.size, j.size])
 
 
@@ -329,7 +315,8 @@ class NodeTableView(_CountView):
         self._store = store
 
     def _count(self, key) -> int:
-        return self._store.count(*key)
+        st = self._store
+        return _count(None, st, st.R, st.L, key)
 
     def _columns(self):
         # Keys in tuple order: labels stored as label + 1 (ANY = 0), radix L + 1.
@@ -405,9 +392,10 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     w's out-edges from w -> j on (out-edges are sorted by head), found by one
     ``argsort`` of the in-index keys: sum(d (d + 1) / 2) pairs.
     ``projected_pair_cost`` is reported on the result and guarded by
-    ``budget``. At 2,000 nodes and 34k edges (0.29M entries) the build takes
-    ~0.013 s on a 2-vCPU Xeon, with a ``tracemalloc`` peak of 11.5 MB; at
-    40k edges (0.39M) ~0.017 s and 15.6 MB.
+    ``budget``; a store holds at most ``_node_radix(L)`` nodes. At 2,000
+    nodes and 34k edges (0.29M entries) the build takes ~0.013 s on a
+    2-vCPU Xeon, with a ``tracemalloc`` peak of 11.5 MB; at 40k edges
+    (0.39M) ~0.017 s and 15.6 MB.
 
     Args:
         graph: the graph to index.
@@ -419,17 +407,20 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
 
     Raises:
         BudgetExceededError: projected cost exceeds budget and not overridden.
+        ValueError: the graph has more nodes than a store holds.
     """
+    n, L = graph.node_count, graph.alphabet.size
+    if n > _node_radix(L):
+        raise ValueError(f"{n} nodes; a node store holds at most {_node_radix(L)}")
     cost = projected_pair_cost(graph)
     if cost > budget and not override:
         raise BudgetExceededError(cost, budget)
-    n, L = graph.node_count, graph.alphabet.size
     src, dst, lbl = graph.edge_arrays
     first = np.argsort((dst * L + lbl) * n + src)       # out-edge of each in-index entry
-    codes = _copointing(graph, np.arange(n * L), _code_radix(n), first)
+    codes = _copointing(graph, np.arange(n * L), _node_radix(L), first)
     codes.sort()
     start = _run_starts(codes)
-    store = NodeCountStore(n, L, codes[start], np.diff(start, append=codes.size))
+    store = NodeCountStore(L, codes[start], np.diff(start, append=codes.size))
     return CooccurrenceCounts(graph, store, projected_pair_cost=cost)
 
 
@@ -702,12 +693,13 @@ CAM_SNAPSHOT_HEADER = "cam-snapshot v1"
 
 def _write_snapshot(path, header: str, sizes: str, table) -> None:
     """Write ``table`` as versioned text: header, size line, then one
-    ``<key fields> <count>`` line per key, sorted. Plain integers only, so
+    ``<key fields> <count>`` line per key, in the sorted key order the views
+    iterate in (``_CountView._columns``). Plain integers only, so
     files are identical across platforms. The file is an export: nothing
     reads it back."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{header}\n{sizes}\n")
-        for key, c in sorted(table.items()):
+        for key, c in table.items():
             fh.write(f"{' '.join(map(str, key))} {c}\n")
 
 
@@ -768,11 +760,12 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     tails' incidence rows in the new (N) and the old (O) graph, D = N - O,
     as two scatters: O(out-degree + K (L + 1)) per changed (tail, column).
     On the 2,000-node serve-stream graph a 20-edge batch takes ~1.3–1.4 ms
-    median on a 2-vCPU Xeon (~1.9 ms with per-cluster products; ~8.5 ms when
-    the new graph was rebuilt with a ``lexsort``): ~0.5 ms for the spliced
-    graph, ~0.4 ms for the node store outside its merges (~8–10 ms each).
+    median on a 2-vCPU Xeon: ~0.5 ms for the spliced graph, ~0.4 ms for the
+    node store outside its merges (~8–10 ms each).
 
-    Phases: 0, one pass normalizes the batch and interns its ids; 1, the
+    Phases: 0, one pass normalizes the batch and interns its ids, and a
+    batch that brings a store past its node limit (``_node_radix``) raises
+    ValueError; 1, the
     spliced graph and each pair's old label; 2, the node store's delta;
     3a, the first write: the partition retracts the relabels' old labels
     in one all-or-nothing call (the check that it matches the graph), then
@@ -831,6 +824,8 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     report.new_node_ids = list(fresh)
     report.new_nodes = len(fresh)
     n_new = n_old + len(fresh)
+    if counts.store is not None and n_new > counts.store.R:
+        raise ValueError(f"{n_new} nodes; a node store holds at most {counts.store.R}")
 
     # Phase 1: the merged graph, spliced from the old one, and each
     # effective pair's old label (-1 if absent).
@@ -844,16 +839,13 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     report.added = int(changed.sum()) - report.relabeled
 
     # Phase 2, before any write: the node store's delta, the unordered
-    # out-edge pairs through a gained edge minus those through a lost one,
-    # encoded with the radix the store has once it holds n_new nodes.
+    # out-edge pairs through a gained edge minus those through a lost one.
     tails = np.sort(b_src[changed])
     tails = tails[_run_starts(tails)]
     if counts.store is not None:
-        R = _code_radix(n_new)
         gained, g_sign = _pairs_through(new_graph, b_src[changed], b_dst[changed],
-                                        b_lbl[changed], R)
-        lost, l_sign = _pairs_through(graph, b_src[relabel], b_dst[relabel],
-                                      b_old[relabel], R)
+                                        b_lbl[changed])
+        lost, l_sign = _pairs_through(graph, b_src[relabel], b_dst[relabel], b_old[relabel])
         nam_codes, nam_delta = _sum_by_code(np.concatenate((gained, lost)),
                                             np.concatenate((g_sign, -l_sign)))
         moved = nam_delta != 0
@@ -892,7 +884,6 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
     # for a new tail), under the final assignment, with D = N - O sparse:
     # each D[t, c] = v adds v * N[t] to row c of s, and v * O[t] to column c.
     if counts.store is not None:
-        counts.store.renumber(n_new)
         counts.store.add(nam_codes[moved], nam_delta[moved])
     assignment, was = partition.assignment, tails < n_old
     rows_new = _incidence_rows(new_graph, assignment, tails, K)

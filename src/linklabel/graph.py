@@ -117,10 +117,9 @@ class SignedGraph:
     built lazily, on the first id lookup).
     The out-pointers are one ``searchsorted`` and the in-index one sort
     of the unique keys ``(dst * L + label) * n + src`` over all edges
-    (~0.8 ms at 40k edges, a sixth of a three-key ``lexsort``), unless
-    ``index`` gives all three prebuilt as ``(out_ptr, in_ptr,
-    in_tails)``, as ``splice_edges`` does; only then is ``external_ids``
-    kept as given, a fresh list, not copied.
+    (~0.8 ms at 40k edges), unless ``index`` gives all three prebuilt as
+    ``(out_ptr, in_ptr, in_tails)``, as ``splice_edges`` does; only then is
+    ``external_ids`` kept as given, a fresh list, not copied.
     """
 
     def __init__(self, node_count, src, dst, lbl, alphabet, external_ids, index=None):
@@ -390,11 +389,10 @@ def read_edge_lines(path, tokens, nodes=None):
     The file is parsed in bulk, in blocks of whole lines of about
     ``READ_BLOCK`` characters (``_read_block``): per block, one numpy pass
     over its code points and one ``str.split``. The 40k-edge, 0.48 MB
-    cluster-2k input of ``bench/`` is read in ~8–12 ms on a 2-vCPU Xeon,
-    half or less of the time of the line-by-line loop that
-    ``tests/oracles.py`` keeps as the reference. Blocks, not one read of the whole file, keep the peak RSS
-    of a load where the loop had it: one read left the peak of the
-    cluster-2k benchmark 0.6–1.2 MB higher.
+    cluster-2k input of ``bench/`` is read in ~8–12 ms on a 2-vCPU Xeon;
+    ``tests/oracles.py`` keeps a line-by-line loop as the reference.
+    Blocks, not one read of the whole file, keep the peak RSS of a load
+    low: one read raised the peak of the cluster-2k benchmark by 0.6–1.2 MB.
 
     Raises:
         EdgeListParseError: wrong arity or unknown sign token, naming the

@@ -158,7 +158,7 @@ def _tie_order(prior: LabelDistribution) -> list:
     return sorted(range(prior.probs.size), key=lambda l: (-float(prior.probs[l]), l))
 
 
-def decide(dist: LabelDistribution, prior: LabelDistribution, graph=None):
+def decide(dist: LabelDistribution, prior: LabelDistribution):
     """Final label choice: argmax with prior fallback and deterministic ties.
 
     Returns (label_index, used_fallback). An undefined distribution is

@@ -85,13 +85,13 @@ def nam_table(edges, n):
 def pair_codes(edges, n, n_labels, upper=False):
     """The code of every ordered pair of each tail's out-edges, self-pairs
     included, once per tail: pair ((m, l), (x, lx)) has the code
-    ((m * L + l) * R + x) * L + lx, with R the power of two >= n.
+    ((m * L + l) * R + x) * L + lx, with the node radix R = 2**31 // (L + 1).
 
     Counting equal codes gives the concrete counts count(m, l, x, lx). With
     ``upper`` only the pairs with (m, l) <= (x, lx) are emitted: the node
     store's codes, one per unordered pair.
     """
-    L, R = n_labels, 1 << max(n - 1, 0).bit_length()
+    L, R = n_labels, (1 << 31) // (n_labels + 1)
     return [((m * L + l) * R + x) * L + lx
             for outs in out_edges(edges, n).values() for m, l in outs for x, lx in outs
             if not upper or (m, l) <= (x, lx)]

@@ -134,9 +134,9 @@ def test_stream_matches_dict_oracle_after_every_batch(L):
 
 
 def test_stream_across_the_code_radix(monkeypatch):
-    # Built at 8 nodes, the store's code radix is 8. A batch that brings
-    # nodes past the radix re-encodes every code and grows it to 16, later
-    # to 32; a batch that stays within it (up to exactly 16) keeps the codes.
+    # The node radix is fixed by the alphabet, so batches that bring an
+    # 8-node store past 8, 16 and 32 nodes change its main run's counts in
+    # place and never re-encode its codes.
     monkeypatch.setattr(counts_module, "MERGE_FRACTION", 1e9)     # no merge replaces a run
     rng = np.random.default_rng(9)
     n, L = 8, 2
@@ -144,8 +144,8 @@ def test_stream_across_the_code_radix(monkeypatch):
     part = Partition.from_random(g, 3, rng)
     counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
     store = counts.store
-    assert store.R == 8
-    for grow, radix in ((1, 16), (0, 16), (6, 16), (1, 16), (3, 32), (2, 32)):
+    assert store.R == (1 << 31) // (L + 1)
+    for grow in (1, 0, 6, 1, 3, 2):
         ext, before = g.external_ids, store.codes
         edges = list(g.edges())
         s, d, l = edges[int(rng.integers(len(edges)))]
@@ -156,10 +156,8 @@ def test_stream_across_the_code_radix(monkeypatch):
             tok = f"x{len(ext) + k}"
             u, v = rng.choice(len(ext), size=2, replace=False).tolist()
             batch += [(tok, ext[u], 0), (ext[v], tok, 1), (tok, ext[v], 1)]
-        regrow = g.node_count + grow > store.R
         g, report = apply_edge_batch(counts, cc, g, batch)
-        assert report.new_nodes == grow and store.N == g.node_count and store.R == radix
-        assert (store.codes is not before) == regrow
+        assert report.new_nodes == grow and store.codes is before
         oracle = _oracle(g)
         _assert_table_is(counts, oracle)
         concrete = _stored(oracle)
@@ -170,18 +168,58 @@ def test_stream_across_the_code_radix(monkeypatch):
     assert g.node_count == 21
 
 
-def test_renumber_below_the_node_count_raises_and_changes_nothing():
-    # N = 4, L = 2: code 30 is key (1, 1, 3, 0). Re-encoded for 3 nodes it
-    # would read as key (2, 0, 0, 0), code 24.
-    store = NodeCountStore(4, 2, np.array([30]), np.array([1]))
-    assert store.R == 4 and store.count(1, 1, 3, 0) == 1
-    with pytest.raises(ValueError, match="4 nodes to 3"):
-        store.renumber(3)
-    assert (store.N, store.R, store.codes.tolist()) == (4, 4, [30])
-    assert store.count(1, 1, 3, 0) == 1 and store.count(2, 0, 0, 0) == 0
-    store.renumber(5)                                # grows the radix to 8
-    assert (store.N, store.R, store.codes.tolist()) == (5, 8, [54])
-    assert store.count(1, 1, 3, 0) == 1
+def test_store_past_its_node_limit_raises_and_changes_nothing(monkeypatch):
+    # With a node radix of 8 a store holds at most 8 nodes: a build on 9
+    # nodes raises, and so does a batch that brings 8 nodes to 9, before it
+    # writes to the store, the partition, the cluster table or the graph.
+    monkeypatch.setattr(counts_module, "_node_radix", lambda L: 8)
+    monkeypatch.setattr(counts_module, "MERGE_FRACTION", 1e9)     # keep a pending run
+    rng = np.random.default_rng(17)
+    L = 2
+    with pytest.raises(ValueError, match="9 nodes; a node store holds at most 8"):
+        build_precomputed_nam(graph_from(random_edge_list(rng, 9, L, 0.3), 9, L))
+    g = graph_from(random_edge_list(rng, 8, L, 0.3), 8, L)
+    part = Partition.from_random(g, 3, rng)
+    counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+    ext = g.external_ids
+    g, _ = apply_edge_batch(counts, cc, g, [(ext[u], ext[v], 0) for u in range(8)
+                                            for v in range(8) if u != v][:20])
+    store = counts.store
+    assert store.pending_codes.size > 0 and g.node_count == 8
+    runs = [a.copy() for a in (store.codes, store.vals, store.pending_codes, store.pending_vals)]
+    state = [part.assignment.copy(), part.pair_counts.copy(), cc.array.copy()]
+    edges = list(g.edges())
+    s, d, l = edges[0]
+    batch = [(ext[s], ext[d], 1 - l), (ext[1], ext[0], 1), ("x8", ext[2], 0)]
+    with pytest.raises(ValueError, match="9 nodes; a node store holds at most 8"):
+        apply_edge_batch(counts, cc, g, batch)
+    now = (store.codes, store.vals, store.pending_codes, store.pending_vals)
+    assert all(np.array_equal(a, b) for a, b in zip(now, runs))
+    now = (part.assignment, part.pair_counts, cc.array)
+    assert all(np.array_equal(a, b) for a, b in zip(now, state))
+    assert counts.graph is g and cc.graph is g and part.graph is g
+    assert g.node_count == 8 and list(g.edges()) == edges
+    part.verify_counts()
+
+
+def test_views_iterate_in_sorted_key_order(monkeypatch):
+    # The snapshot export writes the views' items as they come: both views
+    # must yield them in sorted key order, also while the store holds a
+    # pending run.
+    monkeypatch.setattr(counts_module, "MERGE_FRACTION", 1e9)
+    for L in (2, 3):
+        rng = np.random.default_rng(30 + L)
+        g = graph_from(random_edge_list(rng, 15, L, 0.2), 15, L)
+        part = Partition.from_random(g, 3, rng)
+        counts, cc = build_precomputed_nam(g), ClusterCounts.from_partition(g, part)
+        fresh = [0]
+        for step in range(4):
+            if step:                                    # after the build, then per batch
+                g, _ = apply_edge_batch(counts, cc, g, random_batch(rng, g, L, fresh))
+            for view in (counts.table, cc.table):
+                items = list(view.items())
+                assert items and items == sorted(items)
+        assert counts.store.pending_codes.size > 0
 
 
 def test_forced_merges_equal_the_dict_build(monkeypatch):
@@ -217,8 +255,8 @@ def _assert_canonical(store):
 @pytest.mark.parametrize("fraction", [0.0, 1e9], ids=["merge_always", "merge_never"])
 def test_every_stored_code_is_canonical(monkeypatch, fraction):
     # The store keeps each unordered pair once, under the code with a <= b:
-    # after a build and after every batch of a stream that crosses the code
-    # radix, whether each batch merges its runs or none does. Every batch
+    # after a build and after every batch of a stream that adds nodes,
+    # whether each batch merges its runs or none does. Every batch
     # also gives one tail several new edges while relabeling one of its
     # edges, so its delta holds pairs of two changed edges.
     monkeypatch.setattr(counts_module, "MERGE_FRACTION", fraction)
@@ -239,7 +277,7 @@ def test_every_stored_code_is_canonical(monkeypatch, fraction):
         _assert_canonical(store)
         want = build_precomputed_nam(g).store
         assert all(np.array_equal(a, b) for a, b in zip(store.nonzero(), (want.codes, want.vals)))
-    assert store.R == 32 and (store.merges >= 20 if fraction == 0.0 else store.merges == 0)
+    assert store.merges >= 20 if fraction == 0.0 else store.merges == 0
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -262,7 +300,7 @@ def test_counts_are_symmetric_and_equal_on_demand(L):
 def test_merge_drops_zeros_of_both_runs(monkeypatch):
     # Zeros stay in place until a merge, which drops those of both runs.
     monkeypatch.setattr(counts_module, "MERGE_FRACTION", 1.0)
-    store = NodeCountStore(4, 2, np.array([1, 3, 5, 7]), np.array([2, 0, 1, 4]))
+    store = NodeCountStore(2, np.array([1, 3, 5, 7]), np.array([2, 0, 1, 4]))
     store.add(np.array([2, 6]), np.array([3, 0]))          # pending run [2, 6]
     assert store.merges == 0 and store.pending_codes.tolist() == [2, 6]
     assert [a.tolist() for a in store.nonzero()] == [[1, 2, 5, 7], [2, 3, 1, 4]]

@@ -765,12 +765,11 @@ def apply_edge_batch(counts: CooccurrenceCounts, cluster_counts: ClusterCounts,
 
     Phases: 0, one pass normalizes the batch and interns its ids, and a
     batch that brings a store past its node limit (``_node_radix``) raises
-    ValueError; 1, the
-    spliced graph and each pair's old label; 2, the node store's delta;
-    3a, the first write: the partition retracts the relabels' old labels
-    in one all-or-nothing call (the check that it matches the graph), then
-    adds the new labels; 3b, new nodes are placed; 4, the node store and
-    the cluster table take their deltas.
+    ValueError; 1, the spliced graph and each pair's old label; 2, the node
+    store's delta; 3a, the first write: the partition retracts the relabels'
+    old labels in one all-or-nothing call (the check that it matches the
+    graph), then adds the new labels; 3b, new nodes are placed; 4, the node
+    store and the cluster table take their deltas.
 
     The caller must hold exclusive access: ``counts``, ``cluster_counts``
     and its partition are mutated in place and rebound to the returned

@@ -93,7 +93,7 @@ def _load(args):
 
 def _partition_for(args, graph):
     """Partition from --partition-file when given, else a fresh clustering run."""
-    if getattr(args, "partition_file", None):
+    if args.partition_file:
         return read_partition(args.partition_file, graph)
     part, _ = cluster(graph, _cluster_config(args))
     return part
@@ -359,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="independent restarts; best final phi wins")
     cluster_opts.add_argument("--early-stop-rel-tol", type=float, default=0.0,
                               help="stop when relative phi change falls below this (0 disables)")
-    cluster_opts.add_argument("--partition-file", default=None,
-                              help="reuse this partition instead of clustering")
 
     p = sub.add_parser("stats", parents=[common], formatter_class=fmt,
                        help="dataset summary, raw and normalized")
@@ -381,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="|".join(MODEL_KINDS))
     p.add_argument("--verbose", action="store_true",
                    help="attach per-context-entry diagnostics to each record")
+    p.add_argument("--partition-file", default=None,
+                   help="reuse this partition instead of clustering")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", parents=[common, model_opts, cluster_opts],
@@ -423,6 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", required=True, help="edge list of new edges")
     p.add_argument("--no-intern", action="store_true",
                    help="reject batch edges that mention unknown node ids")
+    p.add_argument("--partition-file", default=None,
+                   help="reuse this partition instead of clustering")
     p.add_argument("--out-edges", default=None, help="write the merged edge list here")
     p.add_argument("--out-partition", default=None, help="write the extended partition here")
     p.add_argument("--out-nam", default=None,

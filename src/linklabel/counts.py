@@ -19,14 +19,15 @@ genuine union, never a sum.
 
 Every node-level count is an entry of a co-citation product, count(j, l,
 x, l') = (A_l^T A_l')[j, x] with A_l the adjacency matrix restricted to
-label l. One kernel, ``_copointing``, enumerates its units by label-split
-in-row j * L + l: each in-edge w -> j labeled l with each out-edge of w.
-``block_table`` runs it over a block of receivers, the store build over all
-n * L in-rows. One reader, ``node_evidence``, serves every node-level read
-for both count strategies, from a store with one lookup, else gathered from
-the block's ``block_table``; a mirrored count is read by symmetry, count(x,
-l', j, l) = count(j, l, x, l'). ``context_evidence`` reads it a receiver
-block at a time; ``predict`` and ``count`` with a block of one receiver.
+label l. One kernel, ``_copointing``, pairs given out-edges w -> j labeled
+l each with w's out-edges from itself on. ``block_table`` starts it at the
+first out-edge of each in-tail of its receivers, the store build at every
+out-edge, which reads the out-adjacency alone, each unordered pair once.
+One reader, ``node_evidence``, serves every node-level read for both count
+strategies, from a store with one lookup, else gathered from the block's
+``block_table``; a mirrored count is read by symmetry, count(x, l', j, l) =
+count(j, l, x, l'). ``context_evidence`` reads it a receiver block at a
+time; ``predict`` and ``count`` with a block of one receiver.
 
 The precomputed node-level store (``NodeCountStore``) holds concrete keys
 only, (m, l, n, lp) with both labels real, and each once with its mirror
@@ -36,9 +37,9 @@ R = ``_node_radix(L)`` fixed by the alphabet, and an ``int64`` count: 16
 bytes per entry, about half the ordered keys. A store holds at most R
 nodes, ~7.2e8 for L = 2; no node count enters a code, so a stream that adds
 nodes never re-encodes the store. Every ANY count is derived by
-summing over labels, exact at node level. The build enumerates each
-unordered pair once, encodes the pairs in place, sorts them in place and
-counts them by run starts (``_run_starts``); reads use ``searchsorted``, and
+summing over labels, exact at node level. The build encodes the pairs in
+place, sorts them in place and counts them by run starts
+(``_run_starts``); reads use ``searchsorted`` (``_find``), and
 ``CooccurrenceCounts.table`` shows the store as a read-only mapping over
 all four key families. A stream batch touches only the out-edge pairs
 that hold a changed edge (``_pairs_through``), so its cost is
@@ -48,7 +49,7 @@ small sorted pending run, which every read also searches and which is
 merged into the main run only when it outgrows a fixed fraction of it (the
 log-structured merge of O'Neil et al., Acta Informatica 33, 1996). On the
 2,000-node, 34k-edge serve-stream graph the store holds 0.29M entries
-(4.6 MB) after a ~0.013 s build and 0.39M after 315 stream batches.
+(4.6 MB) after a ~10 ms build and 0.39M after 315 stream batches.
 
 The cluster table is one dense ``int64`` array (K, K, L + 1, K, L + 1), ANY
 at label index 0. A node's 0/1 incidence row (``_incidence_rows``) marks
@@ -111,11 +112,11 @@ def _sum_by_code(codes, vals):
 
 
 def _find(run, codes):
-    """(position, present) of each of ``codes`` in the sorted ``run``."""
+    """(insertion point, present) of each of ``codes`` in the sorted ``run``."""
+    at = np.searchsorted(run, codes)
     if not run.size:
-        return np.zeros(codes.shape, dtype=np.intp), np.zeros(codes.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(run, codes), run.size - 1)
-    return pos, run[pos] == codes
+        return at, np.zeros(codes.shape, dtype=bool)
+    return at, run.take(at, mode="clip") == codes     # past the end: the last, smaller entry
 
 
 #: The pending run of a ``NodeCountStore`` is merged into its main run once
@@ -170,9 +171,7 @@ class NodeCountStore:
         codes, deltas = codes[~hit], deltas[~hit]
         if not codes.size:
             return
-        at = np.searchsorted(self.pending_codes, codes)
-        hit = at < self.pending_codes.size
-        hit[hit] = self.pending_codes[at[hit]] == codes[hit]
+        at, hit = _find(self.pending_codes, codes)
         self.pending_vals[at[hit]] += deltas[hit]
         self.pending_codes, self.pending_vals = _interleave(
             [self.pending_codes, self.pending_vals, codes[~hit], deltas[~hit]], at[~hit])
@@ -233,17 +232,15 @@ def _merge_runs(runs):
     return tuple(out)
 
 
-def _copointing(graph: SignedGraph, rows, radix: int, first=None) -> np.ndarray:
-    """Codes (k * radix + x) * L + lx of the co-pointing pairs of in-rows ``rows``:
-    each in-edge w -> j labeled l of ``rows[k] = j * L + l`` with each out-edge
-    w -> x labeled lx, one unit of count(j, l, x, lx). With ``first``, in-edge
-    t of the in-index pairs only with w's out-edges from ``first[t]`` on. Encoded
-    in place, so each step allocates one gathered column, not a new code array."""
-    out_ptr, heads, labels, in_ptr, in_tails = graph.csr()
-    t, k = _ranges(in_ptr[rows], in_ptr[rows + 1])
-    tails = in_tails[t]
-    e, codes = _ranges(out_ptr[tails] if first is None else first[t], out_ptr[tails + 1])
-    codes = k[codes]            # the row index k of each pair
+def _copointing(graph: SignedGraph, row, start, radix: int) -> np.ndarray:
+    """Codes (row[k] * radix + x) * L + lx of the co-pointing pairs from the
+    out-edges ``start``: out-edge ``start[k]`` of tail w with each of w's
+    out-edges w -> x labeled lx from itself on (sorted by head), units of
+    count(j, l, x, lx) when ``row[k] = j * L + l``. Encoded in place, so
+    each step allocates one gathered column, not a new code array."""
+    out_ptr, heads, labels, _, _ = graph.csr()
+    e, codes = _ranges(start, out_ptr[graph.edge_arrays[0][start] + 1])
+    codes = row[codes]          # the row of each pair's start
     codes *= radix
     codes += heads[e]
     codes *= graph.alphabet.size
@@ -277,7 +274,7 @@ class _CountView(Mapping):
 
     ``_count(key)`` reads one key (0 if absent, TypeError or ValueError if
     malformed); ``_columns()`` gives every nonzero key's fields and its
-    count as arrays, in sorted key order, so iteration decodes in bulk.
+    count as arrays, in sorted key order, which iteration decodes in slices.
     """
 
     def __getitem__(self, key):
@@ -289,8 +286,15 @@ class _CountView(Mapping):
             raise KeyError(key)
         return c
 
+    def _pairs(self):
+        """Yield ``(key, count)`` in sorted key order, a slice of 2**16 keys at a time."""
+        columns, size = self._columns(), 1 << 16
+        for i in range(0, columns[-1].size, size):
+            *key, vals = (c[i:i + size].tolist() for c in columns)
+            yield from zip(zip(*key), vals)
+
     def __iter__(self):
-        return zip(*(c.tolist() for c in self._columns()[:-1]))
+        return (key for key, _ in self._pairs())
 
     def items(self):
         return _BulkItems(self)
@@ -298,8 +302,7 @@ class _CountView(Mapping):
 
 class _BulkItems(ItemsView):
     def __iter__(self):
-        *key, vals = self._mapping._columns()
-        return zip(zip(*(c.tolist() for c in key)), vals.tolist())
+        return self._mapping._pairs()
 
 
 class NodeTableView(_CountView):
@@ -383,19 +386,19 @@ def projected_pair_cost(graph: SignedGraph) -> int:
 
 def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
                           override: bool = False) -> CooccurrenceCounts:
-    """Build the node-level count store in one vectorized pass over in-rows.
+    """Build the node-level count store in one vectorized pass over out-edges.
 
-    The co-pointing pairs of all n * L in-rows (``_copointing``, the kernel
-    of ``block_table``) are encoded as store codes in place, sorted in place
-    and counted by run starts: the store holds concrete keys only, each
-    unordered pair once, 16 bytes each. Each in-edge w -> j pairs only with
-    w's out-edges from w -> j on (out-edges are sorted by head), found by one
-    ``argsort`` of the in-index keys: sum(d (d + 1) / 2) pairs.
-    ``projected_pair_cost`` is reported on the result and guarded by
+    Every out-edge w -> j labeled l starts the kernel of ``block_table``
+    (``_copointing``) under its head's in-row j * L + l, paired with w's
+    out-edges from itself on: sum(d (d + 1) / 2) pairs, each unordered pair
+    once. Out-edges are sorted by head, so the codes come out canonical,
+    min * R * L + max; they are sorted in place and counted by run starts.
+    The store holds concrete keys only, 16 bytes each; the in-index is not
+    read. ``projected_pair_cost`` is reported on the result and guarded by
     ``budget``; a store holds at most ``_node_radix(L)`` nodes. At 2,000
-    nodes and 34k edges (0.29M entries) the build takes ~0.013 s on a
-    2-vCPU Xeon, with a ``tracemalloc`` peak of 11.5 MB; at 40k edges
-    (0.39M) ~0.017 s and 15.6 MB.
+    nodes and 34k edges (0.29M entries) the build takes ~10–12 ms on a
+    2-vCPU Xeon, with a ``tracemalloc`` peak of 11.7 MB; at 40k edges
+    (0.39M) ~14–20 ms and 16.1 MB.
 
     Args:
         graph: the graph to index.
@@ -415,9 +418,8 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     cost = projected_pair_cost(graph)
     if cost > budget and not override:
         raise BudgetExceededError(cost, budget)
-    src, dst, lbl = graph.edge_arrays
-    first = np.argsort((dst * L + lbl) * n + src)       # out-edge of each in-index entry
-    codes = _copointing(graph, np.arange(n * L), _node_radix(L), first)
+    _, dst, lbl = graph.edge_arrays
+    codes = _copointing(graph, dst * L + lbl, np.arange(graph.edge_count), _node_radix(L))
     codes.sort()
     start = _run_starts(codes)
     store = NodeCountStore(L, codes[start], np.diff(start, append=codes.size))
@@ -474,11 +476,14 @@ def receiver_blocks(graph: SignedGraph, receivers, initiators=None) -> list:
 def block_table(graph: SignedGraph, block: np.ndarray) -> np.ndarray:
     """Co-pointing counts of a receiver block: ``T[b, l, x, lp] = count(block[b], l, x, lp)``.
 
-    The co-pointing pairs of the block's in-rows (``_copointing``) are
-    counted with one ``np.bincount`` of n * L**2 cells per receiver."""
+    Each in-tail of the block's in-rows starts ``_copointing`` at its first
+    out-edge; the pairs are counted with one ``np.bincount`` of n * L**2
+    cells per receiver."""
+    out_ptr, _, _, in_ptr, in_tails = graph.csr()
     n, L = graph.node_count, graph.alphabet.size
     rows = (block[:, None] * L + np.arange(L)).ravel()        # row b * L + l
-    key = _copointing(graph, rows, n)
+    t, k = _ranges(in_ptr[rows], in_ptr[rows + 1])
+    key = _copointing(graph, k, out_ptr[in_tails[t]], n)
     return np.bincount(key, minlength=rows.size * n * L).reshape(block.size, L, n, L)
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clustering import ClusterConfig, cluster
-from .counts import ClusterCounts, CooccurrenceCounts, context_evidence
+from .counts import ClusterCounts, CooccurrenceCounts, _find, context_evidence
 from .graph import SignedGraph, sparsify
 # ``predict`` stays importable here, where callers may patch it.
 from .predictors import (CLUSTER_KINDS, LOCAL_KINDS, MODEL_KINDS,  # noqa: F401
@@ -163,11 +163,7 @@ def _assert_fold_hygiene(train: SignedGraph, test_src, test_dst) -> None:
     # No test pair may appear in its fold's training graph.
     src, dst, _ = train.edge_arrays
     n = train.node_count
-    train_keys = src * n + dst
-    test_keys = test_src * n + test_dst
-    pos = np.searchsorted(train_keys, test_keys)
-    pos = np.clip(pos, 0, max(train_keys.size - 1, 0))
-    if train_keys.size and np.any(train_keys[pos] == test_keys):
+    if _find(src * n + dst, test_src * n + test_dst)[1].any():
         raise AssertionError("test edge leaked into its training graph")
 
 

@@ -426,18 +426,14 @@ def _read_block(block, lineno, path, tokens, nodes, columns) -> int:
         cp = np.minimum(np.frombuffer(block.encode("utf-32-le"), dtype=np.uint32),
                         _IS_SPACE.size - 1)
         space = _IS_SPACE.take(cp)
-    start = np.empty(cp.size, dtype=np.uint8)       # a word starts here
+    start = np.empty(cp.size, dtype=bool)           # a word starts here
     start[0] = not space[0]
     np.greater(space[:-1], space[1:], out=start[1:])
     del space
     # Line k is block[line[k]:line[k + 1]]; an empty last line is no line.
     ends = np.flatnonzero(cp == 10) + 1
     line = np.concatenate(([0], ends) if block.endswith("\n") else ([0], ends, [cp.size]))
-    # Word counts are summed in uint8, which wraps at 256: a line long
-    # enough to hold that many words is counted again by str.split.
-    counts = np.add.reduceat(start, line[:-1], dtype=np.uint8).astype(np.int64)
-    for k in np.flatnonzero(np.diff(line) > 2 * 255).tolist():
-        counts[k] = len(block[line[k]:line[k + 1]].split())
+    counts = np.add.reduceat(start, line[:-1], dtype=np.int64)
     # A comment line's first word starts with "#": look only at lines holding one.
     hashed = []
     if "#" in block:

@@ -175,6 +175,18 @@ def test_predict_has_no_count_strategy_flag(capsys, g1_file, tmp_path):
     assert "--nam-strategy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["cluster"], ["evaluate", "--model", "stlgm"],
+                                     ["sweep", "--model", "stlgm"]])
+def test_partition_file_is_refused_where_it_is_not_read(capsys, g1_file, tmp_path, command):
+    # Only predict and update read a partition; the commands that cluster refuse one.
+    part = tmp_path / "part.txt"
+    part.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--input", str(g1_file), "--partition-file", str(part)])
+    assert exc.value.code == 2
+    assert "--partition-file" in capsys.readouterr().err
+
+
 def test_predict_rejects_unknown_query_node(capsys, g1_file, tmp_path):
     q = tmp_path / "q.txt"
     q.write_text("i nobody\n")

@@ -8,6 +8,7 @@ and on-demand counting exactly, after a build and after every batch of a
 stream.
 """
 
+import copy
 import itertools
 import tracemalloc
 
@@ -102,6 +103,32 @@ def test_store_and_block_tables_equal_the_pair_code_reference(g):
         want, want_defined = predict_many(kind, g, i, j, counts=on_demand, **args)
         assert probs.tobytes() == want.tobytes()
         assert np.array_equal(defined, want_defined)
+
+
+@pytest.mark.parametrize("g", _pair_code_cases(),
+                         ids=[f"random{i}" for i in range(6)] + ["edgeless", "isolated", "one"])
+def test_store_build_reads_only_the_out_adjacency(g, monkeypatch):
+    # The build and the stream delta pair out-edges of one tail: with the
+    # in-index gone both must still give the same codes, and the build sorts
+    # its codes without an argsort.
+    n, L = g.node_count, g.alphabet.size
+    poisoned = copy.copy(g)
+    poisoned._inl_ptr = poisoned._inl_src = None
+    src, dst, lbl = g.edge_arrays
+    want = counts_module._pairs_through(g, src, dst, lbl)
+    for got, exp in zip(counts_module._pairs_through(poisoned, src, dst, lbl), want):
+        assert np.array_equal(got, exp)
+
+    def no_argsort(*args, **kwargs):
+        raise AssertionError("the store build calls argsort")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort", no_argsort)
+        store = build_precomputed_nam(poisoned).store
+    codes, vals = np.unique(np.array(oracles.pair_codes(list(g.edges()), n, L, upper=True),
+                                     dtype=np.int64), return_counts=True)
+    assert np.array_equal(store.codes, codes)
+    assert np.array_equal(store.vals, vals)
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -220,6 +247,13 @@ def test_views_iterate_in_sorted_key_order(monkeypatch):
                 items = list(view.items())
                 assert items and items == sorted(items)
         assert counts.store.pending_codes.size > 0
+    # A node view of 81,006 keys spans two of the slices iteration decodes at a time.
+    view = build_precomputed_nam(generate_planted(100, 4, 0.3, 0.1, seed=0)[0]).table
+    items = list(view.items())
+    assert len(items) > 1 << 16
+    assert items == sorted(items)
+    assert list(view) == [k for k, _ in items]
+    assert len(view) == len(items)
 
 
 def test_forced_merges_equal_the_dict_build(monkeypatch):

@@ -49,7 +49,7 @@ small sorted pending run, which every read also searches and which is
 merged into the main run only when it outgrows a fixed fraction of it (the
 log-structured merge of O'Neil et al., Acta Informatica 33, 1996). On the
 2,000-node, 34k-edge serve-stream graph the store holds 0.29M entries
-(4.6 MB) after a ~10 ms build and 0.39M after 315 stream batches.
+(4.6 MB) after a ~10–14 ms build and 0.39M after 315 stream batches.
 
 The cluster table is one dense ``int64`` array (K, K, L + 1, K, L + 1), ANY
 at label index 0. A node's 0/1 incidence row (``_incidence_rows``) marks
@@ -396,7 +396,7 @@ def build_precomputed_nam(graph: SignedGraph, budget: int = DEFAULT_PAIR_BUDGET,
     The store holds concrete keys only, 16 bytes each; the in-index is not
     read. ``projected_pair_cost`` is reported on the result and guarded by
     ``budget``; a store holds at most ``_node_radix(L)`` nodes. At 2,000
-    nodes and 34k edges (0.29M entries) the build takes ~10–12 ms on a
+    nodes and 34k edges (0.29M entries) the build takes ~10–14 ms on a
     2-vCPU Xeon, with a ``tracemalloc`` peak of 11.7 MB; at 40k edges
     (0.39M) ~14–20 ms and 16.1 MB.
 

@@ -179,10 +179,8 @@ def test_predict_has_no_count_strategy_flag(capsys, g1_file, tmp_path):
                                      ["sweep", "--model", "stlgm"]])
 def test_partition_file_is_refused_where_it_is_not_read(capsys, g1_file, tmp_path, command):
     # Only predict and update read a partition; the commands that cluster refuse one.
-    part = tmp_path / "part.txt"
-    part.write_text("")
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--input", str(g1_file), "--partition-file", str(part)])
+        main([*command, "--input", str(g1_file), "--partition-file", str(tmp_path / "p.txt")])
     assert exc.value.code == 2
     assert "--partition-file" in capsys.readouterr().err
 
